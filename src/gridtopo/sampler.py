@@ -7,14 +7,18 @@ stacked voltages (v, theta) by solving the composite Laplacian system,
 optionally followed by additive Gaussian measurement noise.
 
 Reproducibility contract: the random stream for a seed is defined in
-fixed blocks of ``_BLOCK`` rows, each produced by a Philox generator
-keyed by (seed, block index). Any row range therefore yields the same
-values regardless of how the work is partitioned. Injection draws use
-the lower-triangular Cholesky factor of the injection covariance; noise
-uses a spectral (eigen) factor so that positive-semidefinite noise
-covariances are accepted. The distribution does not depend on the
-factorization; the seed-to-sample map does, and this is the documented
-one.
+fixed blocks of ``_BLOCK`` rows of standard normals, each produced by a
+Philox generator keyed by (seed, block index). A block's rows z map to
+voltages as z @ T.T with the transfer matrix T = H^-1 L, where H is the
+composite Laplacian and L the lower-triangular Cholesky factor of the
+injection covariance; noise rows map as z @ F.T with the spectral
+(eigen) factor F of the noise covariance, so that positive-semidefinite
+noise covariances are accepted. Blocks are mapped whole, so any row
+range yields the same values bit for bit regardless of how the work is
+partitioned. The distribution does not depend on the factorization; the
+seed-to-sample map does, and this is the documented one. It differs at
+rounding level (at most 3e-14 relative) from the earlier map, which
+multiplied by L and then solved H for every row.
 """
 
 from __future__ import annotations
@@ -231,21 +235,22 @@ class VoltageSampleSet:
         return [f"v_{b}" for b in self.bus_order] + [f"theta_{b}" for b in self.bus_order]
 
 
-def _normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Rows [start, stop) of the standard-normal stream for ``seed``.
+def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.ndarray:
+    """Rows [start, stop) of the seed's standard-normal stream times ``factor.T``.
 
-    The stream is defined block-wise so that any partition of the row
-    range reproduces the same values (see module docstring).
+    Each block (see module docstring) is mapped whole before its rows are
+    cut out, because BLAS maps a few rows with other kernels and so with
+    other last bits. The result is column-major, which the covariance's
+    column reductions read fastest.
     """
-    out = np.empty((stop - start, width))
-    first, last = start // _BLOCK, (stop - 1) // _BLOCK
-    for blk in range(first, last + 1):
+    out = np.empty((factor.shape[0], stop - start))
+    for blk in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
         gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, blk))))
-        rows = gen.standard_normal((_BLOCK, width))
+        mapped = factor @ gen.standard_normal((_BLOCK, factor.shape[1])).T
         lo = max(start, blk * _BLOCK)
         hi = min(stop, (blk + 1) * _BLOCK)
-        out[lo - start : hi - start] = rows[lo - blk * _BLOCK : hi - blk * _BLOCK]
-    return out
+        out[:, lo - start : hi - start] = mapped[:, lo - blk * _BLOCK : hi - blk * _BLOCK]
+    return out.T
 
 
 def _check_composite(lap: LaplacianPair) -> None:
@@ -276,11 +281,9 @@ def sample_voltages(
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"injection covariance not positive definite: {exc}") from exc
-    z = _normal_rows(seed, offset, offset + n, 2 * laplacians.n)
-    injections = z @ chol.T
-    voltages = np.linalg.solve(laplacians.composite, injections.T).T
+    transfer = np.linalg.solve(laplacians.composite, chol)
     return VoltageSampleSet(
-        samples=voltages,
+        samples=_mapped_rows(seed, offset, offset + n, transfer),
         bus_order=laplacians.bus_order,
         seed=seed,
         offset=offset,
@@ -305,8 +308,9 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
         return replace(samples, noise=descriptor)
     w, v = np.linalg.eigh(noise.matrix)
     factor = v * np.sqrt(np.clip(w, 0.0, None))
-    z = _normal_rows(seed, samples.offset, samples.offset + samples.n, dim)
-    return replace(samples, samples=samples.samples + z @ factor.T, noise=descriptor)
+    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, factor)
+    noisy += samples.samples
+    return replace(samples, samples=noisy, noise=descriptor)
 
 
 def analytic_voltage_covariance(
@@ -367,10 +371,8 @@ def export_samples(samples: VoltageSampleSet, path) -> None:
     """Write samples as CSV with a JSON metadata sidecar."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(samples.columns)
-        for row in samples.samples:
-            writer.writerow([repr(float(value)) for value in row])
+        csv.writer(fh).writerow(samples.columns)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples.samples.tolist())
     meta = {
         "seed": samples.seed,
         "offset": samples.offset,
@@ -397,9 +399,8 @@ def import_samples(
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            header = next(csv.reader(fh), None)
+            has_rows = any(line.strip() for line in fh)
     except OSError as exc:
         raise ValidationError(f"cannot read sample file {path}: {exc}") from exc
     if not header:
@@ -415,11 +416,15 @@ def import_samples(
         raise ValidationError("v and theta columns name different buses")
     if bus_order is not None and tuple(bus_order) != v_buses:
         raise ValidationError("sample columns do not match the grid bus order")
+    if not has_rows:
+        raise ValidationError("sample file has no data rows")
     try:
-        data = np.array([[float(cell) for cell in row] for row in rows])
+        data = np.loadtxt(path, delimiter=",", quotechar='"', skiprows=1, ndmin=2, comments=None)
     except ValueError as exc:
+        if "number of columns" in str(exc):
+            raise ValidationError("ragged sample rows") from exc
         raise ValidationError(f"non-numeric cell in sample file: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise ValidationError("ragged sample rows")
     if difference:
         data = np.diff(data, axis=0)

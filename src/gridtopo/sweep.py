@@ -71,8 +71,22 @@ ROW_FIELDS = (
 )
 
 
+class _FromDict:
+    """``from_dict`` shared by the sweep configs: payload keys plus the
+    overrides that are not None, rejecting keys the config lacks."""
+
+    @classmethod
+    def from_dict(cls, payload: dict, **overrides):
+        merged = dict(payload)
+        merged.update({k: v for k, v in overrides.items() if v is not None})
+        unknown = set(merged) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**merged)
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_FromDict):
     grid: str
     sample_sizes: tuple[int, ...] = (500, 1000, 5000, 10000, 100000)
     repetitions: int = 10
@@ -111,19 +125,9 @@ class ExperimentConfig:
             if alg not in ("neighborhood", "sign"):
                 raise ValidationError(f"unknown algorithm {alg!r}")
 
-    @classmethod
-    def from_dict(cls, payload: dict, **overrides):
-        merged = dict(payload)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(merged) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**merged)
-
 
 @dataclass
-class DetectConfig:
+class DetectConfig(_FromDict):
     before: str
     after: str
     sample_sizes: tuple[int, ...] = (1000, 10000, 100000)
@@ -141,16 +145,6 @@ class DetectConfig:
             raise ValidationError("sample sizes must be strictly increasing")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-
-    @classmethod
-    def from_dict(cls, payload: dict, **overrides):
-        merged = dict(payload)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(merged) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**merged)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
     InjectionStatistics,
     NoiseStatistics,
+    VoltageSampleSet,
     add_noise,
     analytic_voltage_covariance,
     export_samples,
@@ -19,6 +23,24 @@ from gridtopo.sampler import (
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# consecutive windows [0, 1), [1, 4096), [4096, 8193) across the block
+# boundary at 8192, then 2000 rows inside the third 4096-row block
+PIECES = (1, 4095, 4097, 2000, 1807)
+
+
+def in_pieces(draw, sizes=PIECES):
+    """Concatenate ``draw(count, offset)`` over consecutive windows."""
+    offsets = np.cumsum((0,) + tuple(sizes[:-1]))
+    return np.vstack([draw(count, int(offset)) for count, offset in zip(sizes, offsets)])
+
+
+@pytest.fixture(scope="module")
+def meshed56():
+    grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1)
+    stats = make_correlated_stats(grid, random_stats(grid.n, seed=56), 0.05)
+    return reduced_laplacians(grid), stats
 
 
 class TestInjectionStatistics:
@@ -55,7 +77,7 @@ class TestSampling:
         b = sample_voltages(lap, stats, 1, seed=5)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_partition_invariance(self, path3):
+    def test_partition_invariance(self, path3, meshed56):
         # the stream is counter-based: generating in pieces is identical
         lap = reduced_laplacians(path3)
         stats = InjectionStatistics.uniform(2)
@@ -68,6 +90,29 @@ class TestSampling:
             ]
         )
         assert np.array_equal(whole.samples, parts)
+        # full 56-bus width (110 columns), where BLAS maps few-row products
+        # with other kernels than whole blocks
+        lap, stats = meshed56
+        whole = sample_voltages(lap, stats, sum(PIECES), seed=5)
+        parts = in_pieces(lambda n, offset: sample_voltages(lap, stats, n, 5, offset).samples)
+        assert whole.samples.shape[1] == 110
+        assert np.array_equal(whole.samples, parts)
+
+    def test_matches_reference_formula(self, meshed56):
+        # the stream's first two blocks as injections, then the Laplacian solve
+        lap, stats = meshed56
+        samples = sample_voltages(lap, stats, 5000, seed=3)
+        z = np.vstack(
+            [
+                np.random.Generator(
+                    np.random.Philox(seed=np.random.SeedSequence((3, blk)))
+                ).standard_normal((4096, 110))
+                for blk in (0, 1)
+            ]
+        )[:5000]
+        chol = np.linalg.cholesky(stats.covariance())
+        reference = np.linalg.solve(lap.composite, chol @ z.T).T
+        assert np.abs(samples.samples - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_invalid_count(self, path3):
         lap = reduced_laplacians(path3)
@@ -147,6 +192,18 @@ class TestNoise:
         assert noisy.n == samples.n
         assert np.array_equal(samples.samples, before)
         assert not np.array_equal(noisy.samples, samples.samples)
+
+    def test_partition_invariance(self, meshed56):
+        lap, stats = meshed56
+        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.01)
+        total = sum(PIECES)
+        signal = sample_voltages(lap, stats, total, seed=2)
+        whole = add_noise(signal, noise, seed=6)
+
+        def noisy(n, offset):
+            return add_noise(sample_voltages(lap, stats, n, 2, offset), noise, seed=6).samples
+
+        assert np.array_equal(whole.samples, in_pieces(noisy))
 
     def test_added_noise_matches_covariance(self):
         # noise at 1% of the per-coordinate signal variance
@@ -253,3 +310,36 @@ class TestImportExport:
         path.write_text("v_1,theta_1\n0.1,0.2\n")
         with pytest.raises(ValidationError, match="bus order"):
             import_samples(path, bus_order=("9",))
+
+    def test_export_matches_csv_writer(self, tmp_path, meshed56):
+        samples = sample_voltages(*meshed56, 300, seed=4)
+        special = np.array([[0.0, -0.0, 1e-300, -1.5e300, 0.1, 1 / 3, 2.0**60, -7e-5]])
+        path = tmp_path / "samples.csv"
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        for rows in (samples.samples, special):
+            case = VoltageSampleSet(rows, tuple(str(k) for k in range(rows.shape[1] // 2)))
+            export_samples(case, path)
+            reference.seek(0)
+            reference.truncate()
+            writer.writerow(case.columns)
+            for row in case.samples:
+                writer.writerow([repr(float(value)) for value in row])
+            assert path.read_bytes() == reference.getvalue().encode()
+            assert np.array_equal(import_samples(path, center=False).samples, rows)
+
+    def test_ragged_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("v_1,theta_1\n0.1,0.2\n0.3\n")
+        with pytest.raises(ValidationError):
+            import_samples(path)
+        path.write_text("v_1,theta_1\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        with pytest.raises(ValidationError, match="ragged"):
+            import_samples(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("v_1,theta_1\r\n")
+        with pytest.raises(ValidationError):
+            import_samples(path)
