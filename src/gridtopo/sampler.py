@@ -13,18 +13,45 @@ voltages as z @ T.T with the transfer matrix T = H^-1 L, where H is the
 composite Laplacian and L the lower-triangular Cholesky factor of the
 injection covariance; noise rows map as z @ F.T with the spectral
 (eigen) factor F of the noise covariance, so that positive-semidefinite
-noise covariances are accepted. Blocks are mapped whole, so any row
-range yields the same values bit for bit regardless of how the work is
-partitioned. The distribution does not depend on the factorization; the
-seed-to-sample map does, and this is the documented one. It differs at
-rounding level (at most 3e-14 relative) from the earlier map, which
-multiplied by L and then solved H for every row.
+noise covariances are accepted. Any row range yields the same values bit
+for bit regardless of how the work is partitioned. The distribution does
+not depend on the factorization; the seed-to-sample map does, and this
+is the documented one. It differs at rounding level (at most 3e-14
+relative) from the earlier map, which multiplied by L and then solved H
+for every row.
+
+Chunking: each block is mapped in aligned ``_CHUNK``-row chunks, always
+as a full-chunk product. BLAS maps a few rows (8 at 110 columns) with
+other kernels and so with other last bits, but a product of
+``_CHUNK`` rows gives every row the bits it has inside the whole-block
+product, and each output row depends only on its own input row. So a
+window that covers part of a chunk maps the whole chunk, with the rows
+outside the window left as earlier draws or zeros (always finite), and
+keeps its own rows.
+
+Cursor: a standard normal uses a varying number of Philox outputs, so a
+window starting inside a block must first draw the block's earlier rows.
+To spare consecutive windows that work, ``_mapped_rows`` keeps a
+process-local cursor of at most ``_CURSOR_SIZE`` entries, keyed by the
+seed and the factor (shape and a 16-byte blake2b digest), so a signal
+stream and a noise stream on one seed do not share an entry. An entry
+holds the block and row at which the last call on that key stopped and
+the Philox state there, all as Python ints: arrays kept across calls
+stopped the heap from shrinking and raised peak memory. A call that
+starts in that block at or after that row resumes from the saved state
+instead of redrawing from the block's first row. The state at a row is a
+function of (seed, block, row, width) alone, so the cursor saves work
+and never changes a value; entries are read and written under a lock,
+and the least recently written entry is dropped first.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,6 +73,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_CHUNK = 512
+_CURSOR_SIZE = 8
 COND_LIMIT = 1e12
 
 
@@ -235,21 +264,82 @@ class VoltageSampleSet:
         return [f"v_{b}" for b in self.bus_order] + [f"theta_{b}" for b in self.bus_order]
 
 
+_cursor: OrderedDict[tuple, tuple] = OrderedDict()
+_cursor_lock = threading.Lock()
+
+
+def _block_generator(seed: int, blk: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, blk))))
+
+
+def _philox_ints(bitgen: np.random.Philox) -> tuple[int, ...]:
+    state = bitgen.state
+    return (
+        *state["state"]["counter"].tolist(),
+        *state["state"]["key"].tolist(),
+        *state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+def _set_philox_ints(bitgen: np.random.Philox, ints: tuple[int, ...]) -> None:
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array(ints[0:4], dtype=np.uint64),
+            "key": np.array(ints[4:6], dtype=np.uint64),
+        },
+        "buffer": np.array(ints[6:10], dtype=np.uint64),
+        "buffer_pos": ints[10],
+        "has_uint32": ints[11],
+        "uinteger": ints[12],
+    }
+
+
 def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.ndarray:
     """Rows [start, stop) of the seed's standard-normal stream times ``factor.T``.
 
-    Each block (see module docstring) is mapped whole before its rows are
-    cut out, because BLAS maps a few rows with other kernels and so with
-    other last bits. The result is column-major, which the covariance's
-    column reductions read fastest.
+    Chunks and the cursor are described in the module docstring. The
+    result is column-major, which the covariance's column reductions read
+    fastest.
     """
+    key = (seed, factor.shape, hashlib.blake2b(factor.tobytes(), digest_size=16).digest())
+    with _cursor_lock:
+        saved = _cursor.get(key)
     out = np.empty((factor.shape[0], stop - start))
+    z = np.zeros((_CHUNK, factor.shape[1]))
+    mapped = None
     for blk in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
-        gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, blk))))
-        mapped = factor @ gen.standard_normal((_BLOCK, factor.shape[1])).T
-        lo = max(start, blk * _BLOCK)
+        gen = _block_generator(seed, blk)
+        row, lo = blk * _BLOCK, max(start, blk * _BLOCK)
+        if saved is not None and saved[0] == blk and saved[1] <= lo:
+            _set_philox_ints(gen.bit_generator, saved[2])
+            row = saved[1]
+        while row < lo:
+            skip = min(lo - row, _CHUNK)
+            gen.standard_normal(out=z[:skip])
+            row += skip
         hi = min(stop, (blk + 1) * _BLOCK)
-        out[:, lo - start : hi - start] = mapped[:, lo - blk * _BLOCK : hi - blk * _BLOCK]
+        while lo < hi:
+            base = lo - lo % _CHUNK
+            end = min(hi, base + _CHUNK)
+            gen.standard_normal(out=z[lo - base : end - base])
+            cols = out[:, lo - start : end - start]
+            if end - lo == _CHUNK:
+                np.matmul(factor, z.T, out=cols)
+            else:
+                if mapped is None:
+                    mapped = np.empty((factor.shape[0], _CHUNK))
+                np.matmul(factor, z.T, out=mapped)
+                cols[...] = mapped[:, lo - base : end - base]
+            lo = end
+    with _cursor_lock:
+        _cursor[key] = (blk, stop, _philox_ints(gen.bit_generator))
+        _cursor.move_to_end(key)
+        if len(_cursor) > _CURSOR_SIZE:
+            _cursor.popitem(last=False)
     return out.T
 
 
@@ -273,6 +363,8 @@ def sample_voltages(
     """
     if n < 1:
         raise ValidationError("need n >= 1 samples")
+    if seed < 0 or offset < 0:
+        raise ValidationError(f"seed ({seed}) and offset ({offset}) must be non-negative")
     if stats.n != laplacians.n:
         raise ValidationError("statistics and Laplacians disagree on bus count")
     _check_composite(laplacians)
@@ -298,6 +390,8 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     The input set is unmodified; a zero covariance returns the samples
     unchanged.
     """
+    if seed < 0:
+        raise ValidationError(f"noise seed ({seed}) must be non-negative")
     dim = samples.samples.shape[1]
     if noise.matrix.shape[0] != dim:
         raise ValidationError(

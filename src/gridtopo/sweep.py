@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -160,7 +161,15 @@ class SweepResult:
         write_rows_csv(out / "rows.csv", self.fields, self.rows)
         if self.summary:
             write_rows_csv(out / "summary.csv", tuple(self.summary[0]), self.summary)
-        meta = {"config": self.config, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+        meta = {
+            "config": self.config,
+            "environment": {
+                "kernel": glasso.active_kernel(),
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        }
         with open(out / "meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")

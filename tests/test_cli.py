@@ -213,6 +213,19 @@ def test_threshold_sensitivity_command(tmp_path):
     assert all(row["error_ratio"] == "0.0" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--offset", "-1"], ["--seed", "-2"], ["--noise-seed", "-1", "--noise", "0.1"]],
+)
+def test_negative_seed_or_offset_exit_code(workdir, tmp_path, capsys, flags):
+    code = main([
+        "sample", "--grid", str(workdir / "grid.json"), "--n", "5",
+        "--out", str(tmp_path / "s.csv"), *flags,
+    ])
+    assert code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_missing_grid_exit_code(tmp_path, capsys):
     code = main([
         "sample", "--grid", str(tmp_path / "nope.json"), "--n", "5",

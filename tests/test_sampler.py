@@ -1,10 +1,13 @@
 import csv
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import random_stats
+from gridtopo import sampler
 from gridtopo.errors import ValidationError
 from gridtopo.generate import generate_grid, random_connected_grid
 from gridtopo.grid import reduced_laplacians
@@ -34,6 +37,48 @@ def in_pieces(draw, sizes=PIECES):
     """Concatenate ``draw(count, offset)`` over consecutive windows."""
     offsets = np.cumsum((0,) + tuple(sizes[:-1]))
     return np.vstack([draw(count, int(offset)) for count, offset in zip(sizes, offsets)])
+
+
+# windows around the 512-row chunk and the 4096-row block; read in order
+# they end at 31825, gapped at 32625, inside the stream's first 8 blocks
+WINDOWS = (1, 511, 512, 513, 2000, 4095, 4096, 4097, 16000)
+REFERENCE_ROWS = 8 * 4096
+
+
+def block_reference(factor, seed, stop=REFERENCE_ROWS):
+    """Rows [0, stop) of the seed's stream, each Philox block mapped whole."""
+    mapped = [
+        factor
+        @ np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, blk))))
+        .standard_normal((4096, factor.shape[1]))
+        .T
+        for blk in range(-(-stop // 4096))
+    ]
+    return np.hstack(mapped).T[:stop]
+
+
+def transfer(lap, stats):
+    return np.linalg.solve(lap.composite, np.linalg.cholesky(stats.covariance()))
+
+
+def assert_windows(draw, reference, gap=100):
+    """``draw(count, offset)`` equals the reference for consecutive windows
+    (the cursor resumes), gapped and backward ones, and with the cursor
+    cleared before every window."""
+    offsets = np.cumsum((0,) + WINDOWS[:-1]).tolist()
+    consecutive = list(zip(WINDOWS, offsets))
+    gapped = [(n, offset + gap * k) for k, (n, offset) in enumerate(consecutive)]
+    for order, fresh in (
+        (consecutive, False),
+        (gapped, False),
+        (consecutive[::-1], False),
+        (consecutive, True),
+    ):
+        for n, offset in order:
+            if fresh:
+                sampler._cursor.clear()
+            got = draw(n, offset)
+            assert np.array_equal(got, reference[offset : offset + n]), (n, offset, fresh)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +142,20 @@ class TestSampling:
         parts = in_pieces(lambda n, offset: sample_voltages(lap, stats, n, 5, offset).samples)
         assert whole.samples.shape[1] == 110
         assert np.array_equal(whole.samples, parts)
+        # chunked mapping and the cursor against whole-block products at
+        # 4, 22 and 110 columns
+        tree = generate_grid("tree", 12, seed=13)
+        cases = (
+            (reduced_laplacians(path3), InjectionStatistics.uniform(2)),
+            (reduced_laplacians(tree), random_stats(tree.n, seed=22)),
+            meshed56,
+        )
+        for (lap, stats), width in zip(cases, (4, 22, 110)):
+            reference = block_reference(transfer(lap, stats), seed=5)
+            assert reference.shape[1] == width
+            assert_windows(
+                lambda n, offset: sample_voltages(lap, stats, n, 5, offset).samples, reference
+            )
 
     def test_matches_reference_formula(self, meshed56):
         # the stream's first two blocks as injections, then the Laplacian solve
@@ -118,6 +177,16 @@ class TestSampling:
         lap = reduced_laplacians(path3)
         with pytest.raises(ValidationError):
             sample_voltages(lap, InjectionStatistics.uniform(2), 0, seed=1)
+
+    def test_negative_seed_or_offset(self, path3):
+        lap, stats = reduced_laplacians(path3), InjectionStatistics.uniform(2)
+        with pytest.raises(ValidationError, match="non-negative"):
+            sample_voltages(lap, stats, 5, seed=-2)
+        with pytest.raises(ValidationError, match="non-negative"):
+            sample_voltages(lap, stats, 5, seed=1, offset=-1)
+        samples = sample_voltages(lap, stats, 5, seed=1)
+        with pytest.raises(ValidationError, match="non-negative"):
+            add_noise(samples, NoiseStatistics.from_vectors([0.1, 0.1], [0.1, 0.1]), seed=-1)
 
     def test_monte_carlo_matches_analytic(self):
         grid = generate_grid("tree", 11, seed=13)
@@ -205,6 +274,16 @@ class TestNoise:
 
         assert np.array_equal(whole.samples, in_pieces(noisy))
 
+        # one seed for signal and noise: two factors, two cursor entries
+        w, v = np.linalg.eigh(noise.matrix)
+        reference = block_reference(transfer(lap, stats), 2) + block_reference(
+            v * np.sqrt(np.clip(w, 0.0, None)), 2
+        )
+        assert_windows(
+            lambda n, offset: add_noise(sample_voltages(lap, stats, n, 2, offset), noise, 2).samples,
+            reference,
+        )
+
     def test_added_noise_matches_covariance(self):
         # noise at 1% of the per-coordinate signal variance
         grid = generate_grid("tree", 8, seed=21)
@@ -227,6 +306,76 @@ class TestNoise:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             NoiseStatistics(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestCursor:
+    def test_consecutive_windows_draw_only_their_rows(self, meshed56, monkeypatch):
+        drawn = []
+        make = sampler._block_generator
+
+        class Counting:
+            def __init__(self, seed, blk):
+                self.gen = make(seed, blk)
+                self.bit_generator = self.gen.bit_generator
+
+            def standard_normal(self, out):
+                drawn[-1] += out.shape[0]
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(sampler, "_block_generator", Counting)
+        sampler._cursor.clear()
+        lap, stats = meshed56
+        for k in range(20):
+            drawn.append(0)
+            sample_voltages(lap, stats, 2000, 11, offset=2000 * k)
+        # whole 4096-row blocks would draw about 6100 rows per window
+        assert max(drawn[1:]) <= 2000 + 512, drawn
+
+    def test_interleaved_streams_evict_and_entries_hold_ints(self, meshed56):
+        lap, stats = meshed56
+        factor = transfer(lap, stats)
+        seeds = range(sampler._CURSOR_SIZE + 2)
+        references = {seed: block_reference(factor, seed, 6000) for seed in seeds}
+        sampler._cursor.clear()
+        for offset in range(0, 6000, 1500):
+            for seed in seeds:
+                got = sample_voltages(lap, stats, 1500, seed, offset).samples
+                assert np.array_equal(got, references[seed][offset : offset + 1500])
+        assert len(sampler._cursor) == sampler._CURSOR_SIZE
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                return [leaf for item in value for leaf in leaves(item)]
+            return [value]
+
+        for key, entry in sampler._cursor.items():
+            assert {type(leaf) for leaf in leaves(key)} <= {int, bytes}
+            assert {type(leaf) for leaf in leaves(entry)} == {int}
+
+    def test_threads_reading_windows_match_one_shot(self, meshed56):
+        lap, stats = meshed56
+        seeds, windows, size = (3, 4, 3, 4), 12, 1000
+        expected = {seed: sample_voltages(lap, stats, windows * size, seed).samples for seed in seeds}
+        results = {}
+
+        def read(k):
+            results[k] = np.vstack(
+                [sample_voltages(lap, stats, size, seeds[k], w * size).samples for w in range(windows)]
+            )
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(results[k], expected[seed])
 
 
 class TestCorrelatedStats:

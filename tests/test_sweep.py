@@ -1,9 +1,11 @@
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
 
+from gridtopo import glasso
 from gridtopo.errors import ValidationError
 from gridtopo.generate import generate_grid
 from gridtopo.grid import apply_line_event, save_grid
@@ -82,6 +84,25 @@ class TestRunSweep:
             assert ra == rb
         assert (tmp_path / "a" / "summary.csv").exists()
         assert json.loads((tmp_path / "a" / "meta.json").read_text())["config"]
+
+    def test_meta_records_environment(self, small_grid_path, tmp_path, monkeypatch):
+        config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), seed=3)
+        result = run_sweep(config)
+        result.write(tmp_path / "a")
+        expected = {
+            "kernel": glasso.active_kernel(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        monkeypatch.setenv("GRIDTOPO_PURE_PYTHON", "1")
+        result.write(tmp_path / "b")
+        environment = [
+            json.loads((tmp_path / side / "meta.json").read_text())["environment"]
+            for side in "ab"
+        ]
+        assert environment == [expected, {**expected, "kernel": "python"}]
+        for name in ("rows.csv", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_error_decreases_with_samples(self, small_grid_path):
         config = ExperimentConfig(
