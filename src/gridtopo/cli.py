@@ -128,8 +128,10 @@ def cmd_estimate(args) -> int:
         lam = args.lam
         if lam is None:
             lam = glasso.default_lambda(samples.n, cov.shape[0])
+        # Only graphical_lasso holds the default iteration budget.
+        budget = {} if args.max_iter is None else {"max_iter": args.max_iter}
         conc = glasso.graphical_lasso(
-            cov, lam, tol=args.tol, max_iter=args.max_iter, bus_order=samples.bus_order
+            cov, lam, tol=args.tol, bus_order=samples.bus_order, **budget
         )
     else:
         ridge = args.ridge if args.ridge is not None else default_ridge(cov, samples.n)
@@ -308,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("direct", "glasso"), default="direct")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=1e-6, help="glasso: bound on the KKT residual")
+    p.add_argument("--max-iter", type=int, default=None, help="glasso: iteration budget")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 

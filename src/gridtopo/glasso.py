@@ -4,57 +4,77 @@ Solves
 
     minimize_S  -log det S + <S, cov> + lam * ||S||_1,offdiag
 
-by block coordinate descent over columns of the working covariance, with
-each column subproblem solved by coordinate descent (the classic glasso
-scheme; one full pass costs O(p^3)). The diagonal is not penalized, so
-the lam = 0 solution is the plain inverse.
+by ADMM on the precision matrix (Boyd et al., "Distributed optimization
+and statistical learning via the alternating direction method of
+multipliers", 2011, section 6.5). The problem is split as Theta = Z, with
+the log-det and trace terms on Theta and the penalty on Z; U is the
+scaled dual variable. One iteration is
 
-The inner kernel is the hot loop. A compiled extension is used when
-available and the pure-Python twin otherwise; set GRIDTOPO_PURE_PYTHON=1
-to force the fallback, and call active_kernel() to see which one runs.
-The extension is built by ``python setup.py build_ext --inplace`` (the
-test suite runs this step itself), from ``_cd_fast.pyx`` when Cython is
-installed and from the committed ``_cd_fast.c`` otherwise. The Python
-twin keeps its per-coordinate scalars in Python floats and only the
-running product in numpy (see ``_cd``), which gives the same bits as
-indexing numpy arrays at about half the cost. Column update order is
-fixed, so a given kernel is deterministic.
+- Theta-step: ``d, Q = eigh(rho * (Z - U) - cov)`` and
+  ``Theta = Q diag((d + sqrt(d**2 + 4 rho)) / (2 rho)) Q'``. Every
+  eigenvalue of Theta is positive, whatever the input;
+- Z-step: the off-diagonal entries of ``Theta + U`` (over-relaxed by
+  ``_RELAX``) are soft-thresholded at ``lam / rho``; the diagonal is not
+  penalized, so ``lam = 0`` gives the plain inverse;
+- U-step: ``U += Theta - Z`` (Theta over-relaxed as in the Z-step),
+  which leaves U equal to the part that the threshold removed.
 
-A fit's ``meta`` records the kernel, the outer iterations, the total
-inner sweeps, how many column subproblems used their whole sweep budget
-(``inner_capped``) and the KKT residual of the returned estimate.
+rho is fixed from the extreme eigenvalues of ``cov``:
+``_RHO_SCALE * (e_min + lam) * (e_max + lam)``. The curvature of
+``-log det`` at Theta spans ``[1/theta_max**2, 1/theta_min**2]``, and a
+rho near the geometric mean ``1/(theta_min theta_max)`` of that range is
+the classical choice for a strongly convex smooth term;
+``inv(cov + lam I)``, with eigenvalues ``1/(e + lam)``, stands in for the
+unknown solution. The rule scales with ``cov`` (rho ~ cov**2 when lam
+scales with cov). On standardized voltage covariances at 12 and 20 buses
+and penalties c = 0.02 to 1, the best fixed rho was 0.07 to 0.16 times
+that mean, hence ``_RHO_SCALE = 0.1``. Residual balancing (section
+3.4.1) was measured and left out: it compares ``||Theta - Z||`` with
+``rho ||Z - Z_prev||``, which have different units, so it moved rho away
+on small penalties (3.6 and 11 times the iterations at c = 0.1 and 0.02
+on 12 buses) and never converged on unstandardized voltage covariances.
+rho is internal: there is no argument or variable for it.
+
+Stop rule: every ``_CHECK_EVERY`` iterations the KKT residual of the
+sparse iterate Z (:func:`_kkt_residual`, the largest violation of
+``inv(Z) - cov = lam * G`` for a subgradient G of the penalty) is
+computed, and the solver stops once it is at most ``tol``. So ``tol``
+bounds stationarity of the returned estimate directly. Z is returned only
+after ``np.linalg.cholesky`` succeeds on it, so the estimate is positive
+definite; otherwise :class:`NumericalError` is raised. Spending
+``max_iter`` iterations raises :class:`ConvergenceError` with the duality
+gap of the last iterate.
+
+Every step is a fixed sequence of numpy and LAPACK calls, so a fit is
+deterministic at a fixed BLAS thread count.
+
+A fit's ``meta`` records ``lambda``, ``tol``, ``iterations`` (ADMM
+iterations), ``gap`` (the duality gap ``<cov, Z> - p + lam ||Z||_1,off``),
+``objective``, ``kkt_residual`` of the returned estimate, ``rho``, and
+``kernel``: the solver name ``"admm"``, which :func:`active_kernel` also
+returns.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from . import _cd
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .estimator import COND_LIMIT, ConcentrationMatrix, _symmetric_check
 
-try:
-    from . import _cd_fast
-except ImportError:
-    _cd_fast = None
-
 __all__ = ["graphical_lasso", "glasso_objective", "default_lambda", "active_kernel"]
 
+_SOLVER = "admm"
+_RHO_SCALE = 0.1
+_RELAX = 1.5
+_CHECK_EVERY = 5
 
-def active_kernel(requested: str | None = None) -> str:
-    """Name of the coordinate-descent kernel that will run."""
-    if requested is None:
-        if os.environ.get("GRIDTOPO_PURE_PYTHON"):
-            return "python"
-        return "cython" if _cd_fast is not None else "python"
-    if requested == "cython" and _cd_fast is None:
-        raise ValidationError("compiled kernel not available in this build")
-    if requested not in ("cython", "python"):
-        raise ValidationError(f"unknown kernel {requested!r}")
-    return requested
+
+def active_kernel() -> str:
+    """Name of the solver that :func:`graphical_lasso` runs."""
+    return _SOLVER
 
 
 def default_lambda(n_samples: int, dim: int, c: float = 0.5) -> float:
@@ -63,9 +83,12 @@ def default_lambda(n_samples: int, dim: int, c: float = 0.5) -> float:
 
 
 def glasso_objective(cov: np.ndarray, precision: np.ndarray, lam: float) -> float:
-    sign, logdet = np.linalg.slogdet(precision)
-    if sign <= 0:
+    """Penalized objective; infinite unless ``precision`` is positive definite."""
+    try:
+        chol = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError:
         return np.inf
+    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     penalty = lam * (np.abs(precision).sum() - np.abs(np.diag(precision)).sum())
     return float(-logdet + np.sum(cov * precision) + penalty)
 
@@ -94,29 +117,23 @@ def graphical_lasso(
     cov: np.ndarray,
     lam: float,
     tol: float = 1e-6,
-    max_iter: int = 500,
+    max_iter: int = 10_000,
     bus_order: tuple[str, ...] | None = None,
-    kernel: str | None = None,
-    inner_max_sweeps: int = 2000,
 ) -> ConcentrationMatrix:
     """Estimate a sparse concentration matrix from a covariance.
 
     Parameters
     ----------
-    cov : symmetric positive-semidefinite matrix. Must be nonsingular
-        when ``lam`` is zero.
+    cov : symmetric positive-semidefinite matrix with a positive
+        diagonal. Must be nonsingular when ``lam`` is zero.
     lam : nonnegative off-diagonal l1 penalty.
-    tol : convergence tolerance; iteration stops when the duality gap or
-        the largest working-covariance change (relative to the covariance
-        scale) drops below it.
-    max_iter : outer iteration budget; exceeding it raises
-        :class:`ConvergenceError` carrying the final gap.
-    inner_max_sweeps : coordinate-descent sweep budget per column
-        subproblem; ``meta["inner_capped"]`` counts the subproblems that
-        used all of it.
+    tol : bound on the KKT residual of the returned estimate; iteration
+        stops as soon as the residual is at most ``tol``.
+    max_iter : ADMM iteration budget; spending it raises
+        :class:`ConvergenceError` carrying the final duality gap.
 
-    Returns a :class:`ConcentrationMatrix` with provenance
-    ``graphical_lasso`` and fit diagnostics in ``meta``.
+    Returns a positive-definite :class:`ConcentrationMatrix` with
+    provenance ``graphical_lasso`` and fit diagnostics in ``meta``.
     """
     cov = _symmetric_check(cov)
     if lam < 0:
@@ -128,74 +145,60 @@ def graphical_lasso(
         raise ValidationError("covariance must be positive semidefinite")
     if lam == 0 and (eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT):
         raise NumericalError("lam = 0 requires a nonsingular covariance")
-    kernel_name = active_kernel(kernel)
-    cd = _cd.lasso_gram_cd if kernel_name == "python" else _cd_fast.lasso_gram_cd
+    variances = np.diag(cov)
+    if np.any(variances <= 0):
+        raise NumericalError("covariance has a zero variance; the penalized problem is unbounded")
 
-    # Shrinking off-diagonals keeps the ill-conditioned starting points
-    # invertible; the fixed point does not depend on the start.
-    w = cov * 0.95
-    np.fill_diagonal(w, np.diag(cov))
-    precision = np.linalg.pinv(w, hermitian=True)
-    eps = np.finfo(float).eps
-
-    index = np.arange(p)
-    others = [np.ascontiguousarray(index[index != col]) for col in range(p)]
-    gap = np.inf
-    inner_sweeps = 0
-    inner_capped = 0
+    # Z starts at the solution for a saturating penalty.
+    z = np.diag(1.0 / variances)
+    u = np.zeros((p, p))
+    rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
+    threshold = (1.0 - np.eye(p)) * (lam / rho)
+    residual = np.inf
     for iteration in range(1, max_iter + 1):
-        max_change = 0.0
-        for col in range(p):
-            mask = others[col]
-            w11 = np.ascontiguousarray(w[np.ix_(mask, mask)])
-            s12 = np.ascontiguousarray(cov[mask, col])
-            beta = -precision[mask, col] / (precision[col, col] + 1000 * eps)
-            beta = np.ascontiguousarray(beta)
+        try:
+            d, q = np.linalg.eigh(rho * (z - u) - cov)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"ADMM step failed: {exc}") from exc
+        theta = (q * ((d + np.sqrt(d * d + 4.0 * rho)) / (2.0 * rho))) @ q.T
+        theta = (theta + theta.T) / 2
+        v = _RELAX * theta + (1.0 - _RELAX) * z + u
+        u = np.clip(v, -threshold, threshold)
+        z = v - u
+        if iteration % _CHECK_EVERY == 0:
             try:
-                sweeps = cd(w11, s12, beta, lam, 0.1 * tol, inner_max_sweeps)
-            except ValueError as exc:
-                raise NumericalError(f"column subproblem failed: {exc}") from exc
-            inner_sweeps += sweeps
-            inner_capped += sweeps >= inner_max_sweeps
-            w12 = w11 @ beta
-            max_change = max(max_change, float(np.abs(w[mask, col] - w12).max()))
-            w[mask, col] = w12
-            w[col, mask] = w12
-            denom = w[col, col] - float(w12 @ beta)
-            if denom <= 0 or not np.isfinite(denom):
-                raise NumericalError("working covariance lost positive definiteness")
-            precision[col, col] = 1.0 / denom
-            precision[mask, col] = -beta / denom
-            precision[col, mask] = -beta / denom
-        gap = _dual_gap(cov, precision, lam)
-        if abs(gap) < tol or max_change < tol * scale:
-            break
+                residual = _kkt_residual(cov, z, lam)
+            except np.linalg.LinAlgError:
+                continue
+            if residual <= tol:
+                break
     else:
+        gap = _dual_gap(cov, z, lam)
         raise ConvergenceError(
             f"graphical lasso did not converge in {max_iter} iterations "
-            f"(duality gap {gap:.3e})",
+            f"(KKT residual {residual:.3e}, duality gap {gap:.3e})",
             gap=gap,
             iterations=max_iter,
         )
 
-    precision = (precision + precision.T) / 2
-    if np.linalg.eigvalsh(precision)[0] <= 0:
-        raise NumericalError("estimated concentration matrix not positive definite")
+    try:
+        np.linalg.cholesky(z)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("estimated concentration matrix not positive definite") from exc
     if bus_order is None:
         bus_order = tuple(str(i) for i in range(p // 2))
     return ConcentrationMatrix(
-        j=precision,
+        j=z,
         bus_order=bus_order,
         provenance="graphical_lasso",
         meta={
             "lambda": float(lam),
             "tol": float(tol),
             "iterations": iteration,
-            "gap": float(gap),
-            "objective": glasso_objective(cov, precision, lam),
-            "kernel": kernel_name,
-            "inner_sweeps": inner_sweeps,
-            "inner_capped": inner_capped,
-            "kkt_residual": _kkt_residual(cov, precision, lam),
+            "gap": _dual_gap(cov, z, lam),
+            "objective": glasso_objective(cov, z, lam),
+            "kkt_residual": residual,
+            "kernel": _SOLVER,
+            "rho": rho,
         },
     )

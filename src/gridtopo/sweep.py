@@ -237,9 +237,8 @@ class _SweepContext:
                 if config.lam is not None
                 else glasso.default_lambda(n, 2 * self.grid.n)
             )
-            # The penalty rate presumes standardized variables, and raw
-            # voltage covariances are badly scaled for coordinate descent:
-            # solve on the correlation matrix, then map the precision back.
+            # The penalty rate presumes standardized variables: solve on
+            # the correlation matrix, then map the precision back.
             scale = np.sqrt(np.diag(cov))
             if np.any(scale <= 0):
                 raise NumericalError("degenerate sample variance")

@@ -1,12 +1,6 @@
 import numpy as np
 import pytest
 
-from _build import build_extension
-
-# Before the first gridtopo import: gridtopo.glasso binds the compiled
-# kernel at import time.
-build_extension()
-
 from gridtopo.grid import GridGraph, Line
 from gridtopo.sampler import InjectionStatistics
 

@@ -7,6 +7,7 @@ import pytest
 from gridtopo.cli import main
 from gridtopo.estimator import analytic_concentration, export_concentration
 from gridtopo.generate import generate_grid
+from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
 from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance
 
@@ -92,6 +93,30 @@ def test_estimate_numerical_failure_exit_code(workdir, tmp_path, capsys):
     ])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_estimate_glasso_small_penalty(tmp_path, capsys):
+    # Block coordinate descent lost positive definiteness on this input
+    # (exit 3); the solver's own iteration budget must apply, not a copy.
+    grid, samples, conc = tmp_path / "grid.json", tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main([
+        "gen-grid", "--kind", "meshed", "--buses", "12", "--loops", "1",
+        "--min-cycle", "7", "--seed", "12", "--out", str(grid),
+    ]) == 0
+    assert main([
+        "sample", "--grid", str(grid), "--n", "200", "--seed", "5", "--sigma", "1",
+        "--out", str(samples),
+    ]) == 0
+    estimate = [
+        "estimate", "--samples", str(samples), "--method", "glasso",
+        "--lambda", repr(default_lambda(200, 22, c=0.1)), "--out", str(conc),
+    ]
+    assert main(estimate) == 0
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["kernel"] == "admm"
+    assert meta["kkt_residual"] <= meta["tol"] == 1e-6
+    assert main(estimate + ["--max-iter", "5"]) == 3
+    assert "did not converge in 5 iterations" in capsys.readouterr().err
 
 
 def test_recover_params_command(tmp_path):

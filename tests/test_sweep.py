@@ -85,24 +85,16 @@ class TestRunSweep:
         assert (tmp_path / "a" / "summary.csv").exists()
         assert json.loads((tmp_path / "a" / "meta.json").read_text())["config"]
 
-    def test_meta_records_environment(self, small_grid_path, tmp_path, monkeypatch):
+    def test_meta_records_environment(self, small_grid_path, tmp_path):
         config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), seed=3)
-        result = run_sweep(config)
-        result.write(tmp_path / "a")
-        expected = {
-            "kernel": glasso.active_kernel(),
+        run_sweep(config).write(tmp_path)
+        environment = json.loads((tmp_path / "meta.json").read_text())["environment"]
+        assert environment == {
+            "kernel": "admm",
             "numpy": np.__version__,
             "python": platform.python_version(),
         }
-        monkeypatch.setenv("GRIDTOPO_PURE_PYTHON", "1")
-        result.write(tmp_path / "b")
-        environment = [
-            json.loads((tmp_path / side / "meta.json").read_text())["environment"]
-            for side in "ab"
-        ]
-        assert environment == [expected, {**expected, "kernel": "python"}]
-        for name in ("rows.csv", "summary.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert glasso.active_kernel() == "admm"
 
     def test_error_decreases_with_samples(self, small_grid_path):
         config = ExperimentConfig(
