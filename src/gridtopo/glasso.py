@@ -113,6 +113,47 @@ def _kkt_residual(cov: np.ndarray, precision: np.ndarray, lam: float) -> float:
     return float(violation.max())
 
 
+def _admm(
+    cov: np.ndarray,
+    lam: float,
+    rho: float,
+    z: np.ndarray,
+    u: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Run ADMM from the iterate ``z`` and scaled dual ``u``.
+
+    Stops at the first check where the KKT residual of ``z`` is at most
+    ``tol``, or after ``max_iter`` iterations. Returns the final ``z`` and
+    ``u``, the iterations run and the last residual checked (``inf`` if
+    none was); a residual above ``tol`` means the budget ran out. The
+    arrays passed in are not modified.
+    """
+    p = cov.shape[0]
+    threshold = (1.0 - np.eye(p)) * (lam / rho)
+    residual = np.inf
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        try:
+            d, q = np.linalg.eigh(rho * (z - u) - cov)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"ADMM step failed: {exc}") from exc
+        theta = (q * ((d + np.sqrt(d * d + 4.0 * rho)) / (2.0 * rho))) @ q.T
+        theta = (theta + theta.T) / 2
+        v = _RELAX * theta + (1.0 - _RELAX) * z + u
+        u = np.clip(v, -threshold, threshold)
+        z = v - u
+        if iteration % _CHECK_EVERY == 0:
+            try:
+                residual = _kkt_residual(cov, z, lam)
+            except np.linalg.LinAlgError:
+                continue
+            if residual <= tol:
+                break
+    return z, u, iteration, residual
+
+
 def graphical_lasso(
     cov: np.ndarray,
     lam: float,
@@ -149,30 +190,12 @@ def graphical_lasso(
     if np.any(variances <= 0):
         raise NumericalError("covariance has a zero variance; the penalized problem is unbounded")
 
-    # Z starts at the solution for a saturating penalty.
-    z = np.diag(1.0 / variances)
-    u = np.zeros((p, p))
     rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
-    threshold = (1.0 - np.eye(p)) * (lam / rho)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        try:
-            d, q = np.linalg.eigh(rho * (z - u) - cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"ADMM step failed: {exc}") from exc
-        theta = (q * ((d + np.sqrt(d * d + 4.0 * rho)) / (2.0 * rho))) @ q.T
-        theta = (theta + theta.T) / 2
-        v = _RELAX * theta + (1.0 - _RELAX) * z + u
-        u = np.clip(v, -threshold, threshold)
-        z = v - u
-        if iteration % _CHECK_EVERY == 0:
-            try:
-                residual = _kkt_residual(cov, z, lam)
-            except np.linalg.LinAlgError:
-                continue
-            if residual <= tol:
-                break
-    else:
+    # Z starts at the solution for a saturating penalty.
+    z, _, iterations, residual = _admm(
+        cov, lam, rho, np.diag(1.0 / variances), np.zeros((p, p)), tol, max_iter
+    )
+    if not residual <= tol:
         gap = _dual_gap(cov, z, lam)
         raise ConvergenceError(
             f"graphical lasso did not converge in {max_iter} iterations "
@@ -194,7 +217,7 @@ def graphical_lasso(
         meta={
             "lambda": float(lam),
             "tol": float(tol),
-            "iterations": iteration,
+            "iterations": iterations,
             "gap": _dual_gap(cov, z, lam),
             "objective": glasso_objective(cov, z, lam),
             "kkt_residual": residual,

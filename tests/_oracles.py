@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the penalized
 objective is minimized by proximal gradient descent with backtracking on
 the precision matrix (no operator splitting, no dual variable, no
-eigendecomposition step).
+eigendecomposition step), and the reference ADMM iteration takes its
+Theta-step by a matrix square root and thresholds entry by entry, where
+the solver uses an eigendecomposition and a vectorized clip.
 """
 
 import numpy as np
@@ -105,3 +107,46 @@ def glasso_kkt_residual(precision, cov, lam):
             else:
                 residual = max(residual, abs(grad[i, j]) - lam)
     return float(residual)
+
+
+def _sqrtm_spd(b, sweeps=100):
+    """Principal square root of a symmetric positive-definite matrix.
+
+    Denman-Beavers iteration: only products and inverses, no
+    eigendecomposition.
+    """
+    y, z = b.copy(), np.eye(len(b))
+    for _ in range(sweeps):
+        y, z = (y + np.linalg.inv(z)) / 2, (z + np.linalg.inv(y)) / 2
+        if np.abs(y @ y - b).max() <= 1e-14 * np.abs(b).max():
+            break
+    return (y + y.T) / 2
+
+
+def reference_admm_glasso(cov, lam, rho, z, u, iterations, relax=1.5):
+    """``iterations`` over-relaxed ADMM steps for the graphical lasso, textbook form.
+
+    Boyd et al. (2011), sections 3.4.3 and 6.5, written out step by step:
+    Theta = argmin -log det T + <cov, T> + rho/2 ||T - Z + U||^2, which is
+    (A + sqrt(A^2 + 4 rho I)) / (2 rho) with A = rho (Z - U) - cov, taken
+    by a matrix square root; then Z = soft(relaxed Theta + U) off the
+    diagonal, entry by entry; then U += relaxed Theta - Z. Returns new
+    arrays for Z and U.
+    """
+    p = len(cov)
+    z, u = np.array(z, dtype=float), np.array(u, dtype=float)
+    for _ in range(iterations):
+        a = rho * (z - u) - cov
+        theta = (a + _sqrtm_spd(a @ a + 4.0 * rho * np.eye(p))) / (2.0 * rho)
+        relaxed = relax * theta + (1.0 - relax) * z
+        target = relaxed + u
+        z = np.empty((p, p))
+        for i in range(p):
+            for j in range(p):
+                x = target[i, j]
+                if i == j:
+                    z[i, j] = x
+                else:
+                    z[i, j] = np.sign(x) * max(abs(x) - lam / rho, 0.0)
+        u = u + relaxed - z
+    return z, u

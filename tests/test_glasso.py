@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from _oracles import glasso_kkt_residual, penalized_objective, proximal_gradient_glasso
+from _oracles import (
+    glasso_kkt_residual,
+    penalized_objective,
+    proximal_gradient_glasso,
+    reference_admm_glasso,
+)
 from gridtopo.errors import ConvergenceError, NumericalError, ValidationError
 from gridtopo.estimator import sample_covariance
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import (
+    _admm,
     active_kernel,
     default_lambda,
     glasso_objective,
@@ -21,11 +27,27 @@ def random_spd(dim, seed, n_factor=8):
     return x.T @ x / (n_factor * dim)
 
 
-class TestUnpenalized:
+class InputLeg:
+    """Runs a solver test class on one form of the covariance argument.
+
+    The solver classes below pass numpy arrays; their ``*Python``
+    subclasses at the end of the module rerun every test with the
+    covariance as nested Python lists, which ``graphical_lasso`` accepts.
+    """
+
+    @staticmethod
+    def convert(cov):
+        return cov
+
+    def fit(self, cov, lam, **kwargs):
+        return graphical_lasso(self.convert(cov), lam, **kwargs)
+
+
+class TestUnpenalized(InputLeg):
     def test_matches_direct_inverse(self):
         cov = random_spd(8, seed=0)
         tol = 1e-6
-        conc = graphical_lasso(cov, 0.0, tol=tol)
+        conc = self.fit(cov, 0.0, tol=tol)
         inv = np.linalg.inv(cov)
         assert np.linalg.norm(conc.j - inv) / np.linalg.norm(inv) < 10 * tol
 
@@ -34,16 +56,16 @@ class TestUnpenalized:
         x = rng.standard_normal((4, 8))
         cov = x.T @ x / 4  # rank 4 < dim 8
         with pytest.raises(NumericalError, match="nonsingular"):
-            graphical_lasso(cov, 0.0)
+            self.fit(cov, 0.0)
 
 
-class TestPenalized:
+class TestPenalized(InputLeg):
     def test_saturation_gives_diagonal(self):
         cov = random_spd(6, seed=1)
         off = cov.copy()
         np.fill_diagonal(off, 0.0)
         lam = np.abs(off).max()
-        conc = graphical_lasso(cov, lam, tol=1e-8)
+        conc = self.fit(cov, lam, tol=1e-8)
         assert np.allclose(conc.j, np.diag(np.diag(conc.j)), atol=1e-9)
         assert np.diag(conc.j) == pytest.approx(1.0 / np.diag(cov))
 
@@ -51,7 +73,7 @@ class TestPenalized:
     def test_objective_matches_proximal_oracle(self, seed):
         cov = random_spd(4, seed=10 + seed)
         lam = 0.1
-        conc = graphical_lasso(cov, lam, tol=1e-10)
+        conc = self.fit(cov, lam, tol=1e-10)
         oracle = proximal_gradient_glasso(cov, lam)
         ours = glasso_objective(cov, conc.j, lam)
         theirs = penalized_objective(cov, oracle, lam)
@@ -59,7 +81,7 @@ class TestPenalized:
 
     def test_meta_recorded(self):
         cov = random_spd(6, seed=4)
-        conc = graphical_lasso(cov, 0.05)
+        conc = self.fit(cov, 0.05)
         assert conc.provenance == "graphical_lasso"
         assert conc.meta["lambda"] == 0.05
         assert conc.meta["iterations"] >= 1
@@ -78,7 +100,7 @@ class TestPenalized:
         lam = 0.03
         for tol in (1e-6, 1e-9):
             steps.clear()
-            conc = graphical_lasso(cov, lam, tol=tol)
+            conc = self.fit(cov, lam, tol=tol)
             assert conc.meta["iterations"] == len(steps)
             assert conc.meta["kernel"] == active_kernel() == "admm"
             assert conc.meta["rho"] > 0
@@ -87,12 +109,12 @@ class TestPenalized:
                 glasso_kkt_residual(conc.j, cov, lam), rel=1e-12, abs=1e-15
             )
         with pytest.raises(ConvergenceError) as excinfo:
-            graphical_lasso(cov, lam, tol=1e-9, max_iter=3)
+            self.fit(cov, lam, tol=1e-9, max_iter=3)
         assert excinfo.value.iterations == 3
 
     def test_positive_definite_result(self):
         cov = random_spd(8, seed=5)
-        conc = graphical_lasso(cov, 0.02)
+        conc = self.fit(cov, 0.02)
         assert np.linalg.eigvalsh(conc.j)[0] > 0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -106,7 +128,7 @@ class TestPenalized:
         lam_max = np.abs(off).max()
         previous = None
         for lam in np.geomspace(lam_max * 1e-3, lam_max * 1.05, 6):
-            conc = graphical_lasso(cov, float(lam), tol=1e-9)
+            conc = self.fit(cov, float(lam), tol=1e-9)
             mask = np.abs(conc.j) > 1e-6
             np.fill_diagonal(mask, False)
             support = {tuple(idx) for idx in np.argwhere(mask)}
@@ -115,32 +137,32 @@ class TestPenalized:
             previous = support
 
 
-class TestValidationAndErrors:
+class TestValidationAndErrors(InputLeg):
     def test_negative_penalty(self):
         with pytest.raises(ValidationError):
-            graphical_lasso(np.eye(4), -0.1)
+            self.fit(np.eye(4), -0.1)
 
     def test_asymmetric_covariance(self):
         cov = np.eye(4)
         cov[0, 1] = 0.5
         with pytest.raises(ValidationError, match="symmetric"):
-            graphical_lasso(cov, 0.1)
+            self.fit(cov, 0.1)
 
     def test_indefinite_covariance(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValidationError, match="semidefinite"):
-            graphical_lasso(cov, 0.1)
+            self.fit(cov, 0.1)
 
     def test_nonconvergence_reports_gap(self):
         cov = random_spd(6, seed=6)
         with pytest.raises(ConvergenceError) as excinfo:
-            graphical_lasso(cov, 0.01, tol=1e-14, max_iter=0)
+            self.fit(cov, 0.01, tol=1e-14, max_iter=0)
         assert excinfo.value.gap is not None
 
     def test_zero_variance(self):
         cov = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(NumericalError, match="zero variance"):
-            graphical_lasso(cov, 0.1)
+            self.fit(cov, 0.1)
 
     def test_objective_infinite_off_the_cone(self):
         # Positive determinant, two negative eigenvalues.
@@ -180,3 +202,103 @@ class TestRestrictedRegime:
     def test_default_penalty_20_bus(self, seed):
         grid = generate_grid("meshed", 20, loops=2, min_cycle=7, seed=20)
         self.check_against_oracle(standardized_covariance(grid, 2000, seed), default_lambda(2000, 38))
+
+
+class TestKernels:
+    def test_kernels_agree(self):
+        cov = random_spd(10, seed=7, n_factor=3)
+        lam = 0.03
+        conc = graphical_lasso(cov, lam, tol=1e-9)
+        oracle = proximal_gradient_glasso(cov, lam)
+        assert abs(glasso_objective(cov, conc.j, lam) - penalized_objective(cov, oracle, lam)) < 1e-8
+        assert np.abs(conc.j - oracle).max() < 1e-6 * np.abs(conc.j).max()
+
+    def test_kernel_recorded(self):
+        cov = random_spd(4, seed=8)
+        conc = graphical_lasso(cov, 0.05)
+        assert conc.meta["kernel"] == active_kernel() == "admm"
+
+
+def admm_problem(seed, warm):
+    """Ill-conditioned 8-variable covariance and an ADMM starting point."""
+    cov = random_spd(8, seed=100 + seed, n_factor=2)
+    if not warm:
+        return cov, np.zeros((8, 8)), np.zeros((8, 8))
+    rng = np.random.default_rng(seed)
+    z, u = rng.standard_normal((2, 8, 8))
+    return cov, (z + z.T) / 2, (u + u.T) / 2
+
+
+def admm_rho(cov, lam):
+    eigs = np.linalg.eigvalsh(cov)
+    return 0.1 * (eigs[0] + lam) * (eigs[-1] + lam)
+
+
+def assert_close(ours, theirs):
+    assert np.abs(ours - theirs).max() <= 1e-10 * np.abs(theirs).max()
+
+
+class TestPythonKernel:
+    """The vectorized ADMM iteration ``_admm`` against the textbook reference.
+
+    The reference takes the Theta-step by a matrix square root instead of
+    an eigendecomposition and soft-thresholds entry by entry, so the
+    clip-based threshold, the over-relaxation and the dual update are
+    checked independently.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 21, 109])
+    @pytest.mark.parametrize("lam", [0.3, 1e-3], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    def test_matches_reference(self, seed, lam, warm):
+        cov, z0, u0 = admm_problem(seed, warm)
+        rho = admm_rho(cov, lam)
+        tol = 1e-9
+        z, u, iterations, residual = _admm(cov, lam, rho, z0, u0, tol, 10_000)
+        assert iterations < 10_000
+        assert residual <= tol
+        assert glasso_kkt_residual(z, cov, lam) <= tol
+        z_ref, u_ref = reference_admm_glasso(cov, lam, rho, z0, u0, iterations)
+        assert_close(z, z_ref)
+        assert_close(u, u_ref)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_matches_reference_when_capped(self, max_iter):
+        cov, z0, u0 = admm_problem(21, warm=True)
+        before = z0.copy(), u0.copy()
+        rho = admm_rho(cov, 1e-3)
+        z, u, iterations, residual = _admm(cov, 1e-3, rho, z0, u0, 1e-12, max_iter)
+        assert iterations == max_iter
+        assert residual == np.inf
+        z_ref, u_ref = reference_admm_glasso(cov, 1e-3, rho, z0, u0, max_iter)
+        assert_close(z, z_ref)
+        assert_close(u, u_ref)
+        assert np.array_equal(z0, before[0]) and np.array_equal(u0, before[1])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_diagonal(self, bad, monkeypatch):
+        cov = random_spd(5, seed=3)
+        cov[3, 3] = bad
+        before = cov.copy()
+        steps = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: steps.append(a))
+        with pytest.raises(ValidationError, match="semidefinite"):
+            graphical_lasso(cov, 0.1)
+        assert steps == []
+        assert np.array_equal(cov, before)
+
+
+def as_lists(cov):
+    return np.asarray(cov).tolist()
+
+
+class TestUnpenalizedPython(TestUnpenalized):
+    convert = staticmethod(as_lists)
+
+
+class TestPenalizedPython(TestPenalized):
+    convert = staticmethod(as_lists)
+
+
+class TestValidationAndErrorsPython(TestValidationAndErrors):
+    convert = staticmethod(as_lists)
