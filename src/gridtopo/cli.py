@@ -30,17 +30,16 @@ from .estimator import (
 )
 from .generate import generate_grid
 from .grid import load_grid, reduced_laplacians, save_grid, structure_report
-from .sampler import (
-    InjectionStatistics,
-    NoiseStatistics,
-    add_noise,
-    analytic_voltage_covariance,
-    export_samples,
-    import_samples,
-    make_correlated_stats,
-    sample_voltages,
+from .sampler import add_noise, export_samples, import_samples, sample_voltages
+from .sweep import (
+    DetectConfig,
+    ExperimentConfig,
+    _injection_stats,
+    _relative_noise,
+    detect_sweep,
+    run_sweep,
+    threshold_sensitivity,
 )
-from .sweep import DetectConfig, ExperimentConfig, detect_sweep, run_sweep, threshold_sensitivity
 from .topology import (
     export_estimate,
     learn_neighborhood,
@@ -76,13 +75,6 @@ def _load_config(path) -> dict:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
 
 
-def _stats_for(grid, sigma, sigma_pq, epsilon):
-    stats = InjectionStatistics.uniform(grid.n, variance=sigma, sigma_pq=sigma_pq)
-    if epsilon:
-        stats = make_correlated_stats(grid, stats, epsilon)
-    return stats
-
-
 def cmd_gen_grid(args) -> int:
     grid = generate_grid(
         args.kind,
@@ -106,11 +98,10 @@ def cmd_gen_grid(args) -> int:
 def cmd_sample(args) -> int:
     grid = load_grid(args.grid)
     lap = reduced_laplacians(grid)
-    stats = _stats_for(grid, args.sigma, args.sigma_pq, args.epsilon)
+    stats = _injection_stats(grid, args.sigma, args.sigma_pq, args.epsilon)
     samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
-    if args.noise > 0:
-        signal_var = np.diag(analytic_voltage_covariance(lap, stats))
-        noise = NoiseStatistics.relative(signal_var, args.noise)
+    noise = _relative_noise(lap, stats, args.noise)
+    if noise is not None:
         samples = add_noise(samples, noise, args.noise_seed)
     samples = replace(samples, grid_sha256=grid.sha256)
     export_samples(samples, args.out)
@@ -146,7 +137,7 @@ def cmd_learn(args) -> int:
     truth = load_grid(args.truth) if args.truth else None
     tau1, tau2 = args.tau1, args.tau2
     if truth is not None and (tau1 is None or tau2 is None):
-        stats = InjectionStatistics.uniform(truth.n, variance=args.sigma, sigma_pq=args.sigma_pq)
+        stats = _injection_stats(truth, args.sigma, args.sigma_pq)
         gamma1, gamma2 = gamma_thresholds(
             analytic_concentration(reduced_laplacians(truth), stats)
         )

@@ -72,12 +72,13 @@ ROW_FIELDS = (
 )
 
 
-class _FromDict:
-    """``from_dict`` shared by the sweep configs: payload keys plus the
-    overrides that are not None, rejecting keys the config lacks."""
+class _Config:
+    """``from_dict`` and the field checks shared by the sweep configs."""
 
     @classmethod
     def from_dict(cls, payload: dict, **overrides):
+        """Payload keys plus the overrides that are not None, rejecting keys
+        the config lacks."""
         merged = dict(payload)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         unknown = set(merged) - set(cls.__dataclass_fields__)
@@ -85,9 +86,28 @@ class _FromDict:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**merged)
 
+    def __post_init__(self):
+        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
+        if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
+            raise ValidationError("sample sizes must be strictly increasing")
+        if not self.sample_sizes:
+            raise ValidationError("need at least one sample size")
+        if self.repetitions < 1:
+            raise ValidationError("repetitions must be >= 1")
+        seeds = getattr(self, "seeds", None)
+        if seeds is not None:
+            self.seeds = seeds = tuple(int(s) for s in seeds)
+            if len(seeds) != self.repetitions:
+                raise ValidationError("seeds list must match repetitions")
+        if min((self.seed, *(seeds or ()))) < 0:
+            raise ValidationError("seed and seeds must be non-negative")
+        scales = ("sigma", "noise", "epsilon", "tau_multiplier")
+        if min(getattr(self, name) for name in scales if hasattr(self, name)) < 0:
+            raise ValidationError("scales must be nonnegative")
+
 
 @dataclass
-class ExperimentConfig(_FromDict):
+class ExperimentConfig(_Config):
     grid: str
     sample_sizes: tuple[int, ...] = (500, 1000, 5000, 10000, 100000)
     repetitions: int = 10
@@ -107,19 +127,7 @@ class ExperimentConfig(_FromDict):
     out: str | None = None
 
     def __post_init__(self):
-        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
-        if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
-            raise ValidationError("sample sizes must be strictly increasing")
-        if not self.sample_sizes:
-            raise ValidationError("need at least one sample size")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
-        if self.seeds is not None:
-            self.seeds = tuple(int(s) for s in self.seeds)
-            if len(self.seeds) != self.repetitions:
-                raise ValidationError("seeds list must match repetitions")
-        if min(self.sigma, self.noise, self.epsilon, self.tau_multiplier) < 0:
-            raise ValidationError("scales must be nonnegative")
+        super().__post_init__()
         if self.estimator not in ("direct", "glasso"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         for alg in self.algorithms:
@@ -128,7 +136,7 @@ class ExperimentConfig(_FromDict):
 
 
 @dataclass
-class DetectConfig(_FromDict):
+class DetectConfig(_Config):
     before: str
     after: str
     sample_sizes: tuple[int, ...] = (1000, 10000, 100000)
@@ -139,13 +147,6 @@ class DetectConfig(_FromDict):
     noise: float = 0.0
     tau3: float | None = None
     out: str | None = None
-
-    def __post_init__(self):
-        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
-        if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
-            raise ValidationError("sample sizes must be strictly increasing")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
 
 
 @dataclass
@@ -203,117 +204,129 @@ def _rep_seed(config: ExperimentConfig, rep: int) -> int:
     return config.seeds[rep] if config.seeds is not None else config.seed + rep
 
 
+def _injection_stats(grid: GridGraph, sigma: float, sigma_pq: float, epsilon: float = 0.0):
+    """Uniform injection statistics, correlated along lines when ``epsilon``
+    is nonzero."""
+    stats = InjectionStatistics.uniform(grid.n, variance=sigma, sigma_pq=sigma_pq)
+    return make_correlated_stats(grid, stats, epsilon) if epsilon else stats
+
+
+def _relative_noise(lap, stats: InjectionStatistics, level: float):
+    """Measurement noise at ``level`` times each coordinate's analytic signal
+    variance, or None when ``level`` is not positive."""
+    if level <= 0:
+        return None
+    signal_var = np.diag(analytic_voltage_covariance(lap, stats))
+    return NoiseStatistics.relative(signal_var, level)
+
+
+def _estimate(lap, stats, noise, n, sample_seed, estimator="direct", lam=None, ridge=None):
+    """Samples, plus noise drawn from ``sample_seed + 1`` when ``noise`` is
+    set, then the covariance and its concentration matrix by direct
+    inversion or by the graphical lasso on the standardized covariance."""
+    samples = sample_voltages(lap, stats, n, sample_seed)
+    if noise is not None:
+        samples = add_noise(samples, noise, sample_seed + 1)
+    cov = sample_covariance(samples)
+    if estimator == "glasso":
+        lam = lam if lam is not None else glasso.default_lambda(n, 2 * lap.n)
+        # The penalty rate presumes standardized variables: solve on
+        # the correlation matrix, then map the precision back.
+        scale = np.sqrt(np.diag(cov))
+        if np.any(scale <= 0):
+            raise NumericalError("degenerate sample variance")
+        corr = cov / np.outer(scale, scale)
+        fit = glasso.graphical_lasso(corr, lam, bus_order=lap.bus_order)
+        return ConcentrationMatrix(
+            j=fit.j / np.outer(scale, scale),
+            bus_order=lap.bus_order,
+            provenance="graphical_lasso",
+            meta={**fit.meta, "standardized": True},
+        )
+    ridge = ridge if ridge is not None else default_ridge(cov, n)
+    return direct_concentration(cov, ridge, bus_order=lap.bus_order)
+
+
+def _learn_score(conc: ConcentrationMatrix, grid: GridGraph, algorithm: str, tau1, tau2) -> float:
+    """Error ratio of one learning algorithm at the given thresholds."""
+    if algorithm == "neighborhood":
+        return score(learn_neighborhood(conc, tau1), grid)
+    return score(learn_sign_rule(conc, tau2), grid)
+
+
+def _attempt(fn, *args):
+    """``(value, elapsed ms, status)`` of ``fn(*args)``; a GridTopoError
+    gives value None and the error as the status."""
+    t0 = time.perf_counter()
+    try:
+        value, status = fn(*args), "ok"
+    except GridTopoError as exc:
+        value, status = None, f"{type(exc).__name__}: {exc}"
+    return value, 1000 * (time.perf_counter() - t0), status
+
+
 class _SweepContext:
     """Shared, deterministic per-grid quantities of a sweep."""
 
-    def __init__(self, grid: GridGraph, config: ExperimentConfig):
-        self.grid = grid
-        self.lap = reduced_laplacians(grid)
-        base = InjectionStatistics.uniform(
-            grid.n, variance=config.sigma, sigma_pq=config.sigma_pq
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.grid = load_grid(config.grid)
+        self.lap = reduced_laplacians(self.grid)
+        self.stats = _injection_stats(self.grid, config.sigma, config.sigma_pq, config.epsilon)
+        self.noise = _relative_noise(self.lap, self.stats, config.noise)
+        # Thresholds come from the uncorrelated model.
+        analytic = analytic_concentration(
+            self.lap, _injection_stats(self.grid, config.sigma, config.sigma_pq)
         )
-        self.stats = (
-            make_correlated_stats(grid, base, config.epsilon) if config.epsilon else base
-        )
-        analytic = analytic_concentration(self.lap, base)
         gamma1, gamma2 = gamma_thresholds(analytic)
-        self.tau1 = (config.tau1 if config.tau1 is not None else gamma1 / 2)
-        self.tau2 = (config.tau2 if config.tau2 is not None else gamma2 / 2)
-        self.tau1 *= config.tau_multiplier
-        self.tau2 *= config.tau_multiplier
-        self.noise_stats = None
-        if config.noise > 0:
-            signal_var = np.diag(analytic_voltage_covariance(self.lap, self.stats))
-            self.noise_stats = NoiseStatistics.relative(signal_var, config.noise)
+        self.tau1 = config.tau_multiplier * (config.tau1 if config.tau1 is not None else gamma1 / 2)
+        self.tau2 = config.tau_multiplier * (config.tau2 if config.tau2 is not None else gamma2 / 2)
 
-    def estimate(self, config: ExperimentConfig, n: int, sample_seed: int):
-        samples = sample_voltages(self.lap, self.stats, n, sample_seed)
-        if self.noise_stats is not None:
-            samples = add_noise(samples, self.noise_stats, sample_seed + 1)
-        cov = sample_covariance(samples)
-        if config.estimator == "glasso":
-            lam = (
-                config.lam
-                if config.lam is not None
-                else glasso.default_lambda(n, 2 * self.grid.n)
-            )
-            # The penalty rate presumes standardized variables: solve on
-            # the correlation matrix, then map the precision back.
-            scale = np.sqrt(np.diag(cov))
-            if np.any(scale <= 0):
-                raise NumericalError("degenerate sample variance")
-            corr = cov / np.outer(scale, scale)
-            fit = glasso.graphical_lasso(corr, lam, bus_order=self.lap.bus_order)
-            j = fit.j / np.outer(scale, scale)
-            return ConcentrationMatrix(
-                j=j,
-                bus_order=self.lap.bus_order,
-                provenance="graphical_lasso",
-                meta={**fit.meta, "standardized": True},
-            )
-        ridge = config.ridge if config.ridge is not None else default_ridge(cov, n)
-        return direct_concentration(cov, ridge, bus_order=self.lap.bus_order)
-
-    def learn(self, algorithm: str, conc: ConcentrationMatrix):
-        if algorithm == "neighborhood":
-            return learn_neighborhood(conc, self.tau1)
-        return learn_sign_rule(conc, self.tau2)
+    def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
+        c = self.config
+        return _estimate(
+            self.lap, self.stats, self.noise, n, sample_seed, c.estimator, c.lam, c.ridge
+        )
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    grid = load_grid(config.grid)
-    ctx = _SweepContext(grid, config)
+    ctx = _SweepContext(config)
     rows = []
     for n_index, n in enumerate(config.sample_sizes):
         for rep in range(config.repetitions):
-            rep_seed = _rep_seed(config, rep)
-            sample_seed = _cell_seed(config.seed, rep_seed, n_index)
-            t0 = time.perf_counter()
-            conc = None
-            cell_error = None
-            try:
-                conc = ctx.estimate(config, n, sample_seed)
-            except GridTopoError as exc:
-                cell_error = f"{type(exc).__name__}: {exc}"
-            est_ms = 1000 * (time.perf_counter() - t0)
+            sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), n_index)
+            conc, est_ms, est_status = _attempt(ctx.estimate, n, sample_seed)
             for alg in config.algorithms:
-                row = {
-                    "sample_size": n,
-                    "repetition": rep,
-                    "seed": sample_seed,
-                    "algorithm": alg,
-                    "noise_level": config.noise,
-                    "epsilon": config.epsilon,
-                }
-                if cell_error is not None:
-                    row.update(error_ratio=None, runtime_ms=est_ms, status=cell_error)
-                else:
-                    t1 = time.perf_counter()
-                    try:
-                        estimate = ctx.learn(alg, conc)
-                        err = score(estimate, grid)
-                        row.update(
-                            error_ratio=err,
-                            runtime_ms=est_ms + 1000 * (time.perf_counter() - t1),
-                            status="ok",
-                        )
-                    except GridTopoError as exc:
-                        row.update(
-                            error_ratio=None,
-                            runtime_ms=est_ms + 1000 * (time.perf_counter() - t1),
-                            status=f"{type(exc).__name__}: {exc}",
-                        )
-                rows.append(row)
+                err, learn_ms, status = None, 0.0, est_status
+                if conc is not None:
+                    err, learn_ms, status = _attempt(
+                        _learn_score, conc, ctx.grid, alg, ctx.tau1, ctx.tau2
+                    )
+                rows.append(
+                    {
+                        "sample_size": n,
+                        "repetition": rep,
+                        "seed": sample_seed,
+                        "algorithm": alg,
+                        "noise_level": config.noise,
+                        "epsilon": config.epsilon,
+                        "error_ratio": err,
+                        "runtime_ms": est_ms + learn_ms,
+                        "status": status,
+                    }
+                )
     rows.sort(key=lambda r: (r["sample_size"], r["repetition"], r["algorithm"]))
     return SweepResult(rows=rows, summary=_summarize(rows), config=asdict(config))
 
 
 def _summarize(rows) -> list[dict]:
+    """Mean and spread of the error per (sample size, algorithm, noise,
+    epsilon); a row without an error ratio counts as failed."""
     cells: dict[tuple, list[float]] = {}
     failures: dict[tuple, int] = {}
     for row in rows:
         key = (row["sample_size"], row["algorithm"], row["noise_level"], row["epsilon"])
-        if row["status"] == "ok":
+        if row["error_ratio"] is not None:
             cells.setdefault(key, []).append(row["error_ratio"])
         else:
             failures[key] = failures.get(key, 0) + 1
@@ -341,10 +354,8 @@ def threshold_sensitivity(
     """Errors at the largest configured sample size for scaled thresholds."""
     if not multipliers:
         raise ValidationError("need at least one tau multiplier")
-    grid = load_grid(config.grid)
-    ctx = _SweepContext(grid, config)
+    ctx = _SweepContext(config)
     n = config.sample_sizes[-1]
-    base_tau1, base_tau2 = ctx.tau1, ctx.tau2
     rows = []
     fields = (
         "tau_multiplier",
@@ -357,20 +368,18 @@ def threshold_sensitivity(
         "status",
     )
     for rep in range(config.repetitions):
-        rep_seed = _rep_seed(config, rep)
-        sample_seed = _cell_seed(config.seed, rep_seed, len(config.sample_sizes) - 1)
+        sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), len(config.sample_sizes) - 1)
         t0 = time.perf_counter()
-        conc = ctx.estimate(config, n, sample_seed)
+        conc = ctx.estimate(n, sample_seed)
         est_ms = 1000 * (time.perf_counter() - t0)
         for mult in multipliers:
             # A zero multiplier means "keep everything numerically nonzero";
             # clamp to the smallest positive threshold the ops accept.
-            ctx.tau1 = max(base_tau1 * mult, 1e-300)
-            ctx.tau2 = max(base_tau2 * mult, 1e-300)
+            tau1 = max(ctx.tau1 * mult, 1e-300)
+            tau2 = max(ctx.tau2 * mult, 1e-300)
             for alg in config.algorithms:
                 t1 = time.perf_counter()
-                estimate = ctx.learn(alg, conc)
-                err = score(estimate, grid)
+                err = _learn_score(conc, ctx.grid, alg, tau1, tau2)
                 rows.append(
                     {
                         "tau_multiplier": mult,
@@ -383,7 +392,6 @@ def threshold_sensitivity(
                         "status": "ok",
                     }
                 )
-    ctx.tau1, ctx.tau2 = base_tau1, base_tau2
     rows.sort(key=lambda r: (r["tau_multiplier"], r["repetition"], r["algorithm"]))
     return SweepResult(rows=rows, summary=[], config=asdict(config), fields=fields)
 
@@ -416,9 +424,7 @@ def detect_sweep(config: DetectConfig):
     true_kind, true_edge = _single_line_event(before, after)
     lap_before = reduced_laplacians(before)
     lap_after = reduced_laplacians(after)
-    stats = InjectionStatistics.uniform(
-        before.n, variance=config.sigma, sigma_pq=config.sigma_pq
-    )
+    stats = _injection_stats(before, config.sigma, config.sigma_pq)
     j_before = analytic_concentration(lap_before, stats)
     j_after = analytic_concentration(lap_after, stats)
     deltas = diagonal_deltas(j_before, j_after)
@@ -426,29 +432,25 @@ def detect_sweep(config: DetectConfig):
     endpoint_deltas = [abs(deltas[order.index(b)]) for b in true_edge]
     tau3 = config.tau3 if config.tau3 is not None else min(endpoint_deltas) / 2
     analytic_report = detect_change(j_before, j_after, tau3)
+    noise = _relative_noise(lap_before, stats, config.noise)
 
-    noise_stats = None
-    if config.noise > 0:
-        signal_var = np.diag(analytic_voltage_covariance(lap_before, stats))
-        noise_stats = NoiseStatistics.relative(signal_var, config.noise)
+    def detect_cell(n, s_before, s_after):
+        return detect_change(
+            _estimate(lap_before, stats, noise, n, s_before),
+            _estimate(lap_after, stats, noise, n, s_after),
+            tau3,
+        )
 
     rows = []
     for n_index, n in enumerate(config.sample_sizes):
         for rep in range(config.repetitions):
             s_before = _cell_seed(config.seed, config.seed + rep, n_index)
             s_after = _cell_seed(config.seed + 7919, config.seed + rep, n_index)
-            t0 = time.perf_counter()
-            status = "ok"
+            report, ms, status = _attempt(detect_cell, n, s_before, s_after)
             err = None
-            report_kind = None
-            try:
-                est_b = _estimate_direct(lap_before, stats, n, s_before, noise_stats)
-                est_a = _estimate_direct(lap_after, stats, n, s_after, noise_stats)
-                report = detect_change(est_b, est_a, tau3)
-                report_kind = report.kind
+            if report is not None:
                 err = int(not (report.kind == true_kind and report.endpoints == true_edge))
-            except GridTopoError as exc:
-                status = f"{type(exc).__name__}: {exc}"
+                status = f"ok:{report.kind}"
             rows.append(
                 {
                     "sample_size": n,
@@ -458,41 +460,16 @@ def detect_sweep(config: DetectConfig):
                     "noise_level": config.noise,
                     "epsilon": 0.0,
                     "error_ratio": err,
-                    "runtime_ms": 1000 * (time.perf_counter() - t0),
-                    "status": status if status != "ok" else f"ok:{report_kind}",
+                    "runtime_ms": ms,
+                    "status": status,
                 }
             )
     rows.sort(key=lambda r: (r["sample_size"], r["repetition"]))
-    summary = []
-    for n in config.sample_sizes:
-        errs = [r["error_ratio"] for r in rows if r["sample_size"] == n and r["error_ratio"] is not None]
-        summary.append(
-            {
-                "sample_size": n,
-                "algorithm": "detect",
-                "noise_level": config.noise,
-                "epsilon": 0.0,
-                "mean_error": mean(errs) if errs else None,
-                "stddev_error": stdev(errs) if len(errs) > 1 else 0.0,
-                "ok_rows": len(errs),
-                "failed_rows": sum(1 for r in rows if r["error_ratio"] is None),
-            }
-        )
-    result = SweepResult(rows=rows, summary=summary, config=asdict(config))
+    result = SweepResult(rows=rows, summary=_summarize(rows), config=asdict(config))
     return result, analytic_report
-
-
-def _estimate_direct(lap, stats, n, sample_seed, noise_stats):
-    samples = sample_voltages(lap, stats, n, sample_seed)
-    if noise_stats is not None:
-        samples = add_noise(samples, noise_stats, sample_seed + 1)
-    cov = sample_covariance(samples)
-    return direct_concentration(cov, default_ridge(cov, n), bus_order=lap.bus_order)
 
 
 def replay_cell(config: ExperimentConfig, n: int, sample_seed: int, algorithm: str) -> float:
     """Re-run one sweep cell from its recorded seed; returns the error ratio."""
-    grid = load_grid(config.grid)
-    ctx = _SweepContext(grid, config)
-    conc = ctx.estimate(config, n, sample_seed)
-    return score(ctx.learn(algorithm, conc), grid)
+    ctx = _SweepContext(config)
+    return _learn_score(ctx.estimate(n, sample_seed), ctx.grid, algorithm, ctx.tau1, ctx.tau2)

@@ -251,6 +251,33 @@ def test_negative_seed_or_offset_exit_code(workdir, tmp_path, capsys, flags):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "threshold-sensitivity", "detect"])
+def test_negative_sweep_seed_exit_code(workdir, tmp_path, capsys, command):
+    grid = str(workdir / "grid.json")
+    grids = ["--before", grid, "--after", grid] if command == "detect" else ["--grid", grid]
+    code = main([
+        command, *grids, "--n", "50", "--reps", "1", "--seed", "-1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_detect_empty_sample_sizes_exit_code(tmp_path, capsys):
+    grid = generate_grid("tree", 8, seed=1)
+    a, b = grid.non_reference[0], grid.non_reference[5]
+    after = apply_line_event(grid, a, b, "add", r=0.1, x=0.2)
+    save_grid(grid, tmp_path / "before.json")
+    save_grid(after, tmp_path / "after.json")
+    code = main([
+        "detect", "--before", str(tmp_path / "before.json"),
+        "--after", str(tmp_path / "after.json"), "--n", "", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "at least one sample size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_grid_exit_code(tmp_path, capsys):
     code = main([
         "sample", "--grid", str(tmp_path / "nope.json"), "--n", "5",

@@ -47,6 +47,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown config keys"):
             ExperimentConfig.from_dict({"grid": small_grid_path, "bogus": 1})
 
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"seeds": (0, -2), "repetitions": 2}])
+    def test_negative_seed_rejected(self, small_grid_path, bad):
+        with pytest.raises(ValidationError, match="non-negative"):
+            ExperimentConfig(grid=small_grid_path, sample_sizes=(10,), **bad)
+
+    def test_detect_config_shares_checks(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            DetectConfig(before="a.json", after="b.json", seed=-1)
+        with pytest.raises(ValidationError, match="at least one sample size"):
+            DetectConfig(before="a.json", after="b.json", sample_sizes=())
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            DetectConfig(before="a.json", after="b.json", sample_sizes=(100, 100))
+
     def test_overrides_win(self, small_grid_path):
         config = ExperimentConfig.from_dict(
             {"grid": small_grid_path, "repetitions": 4}, repetitions=2
@@ -110,12 +123,22 @@ class TestRunSweep:
             by_n.setdefault(row["sample_size"], []).append(row["error_ratio"])
         assert np.mean(by_n[30000]) <= np.mean(by_n[300])
 
-    def test_row_replay(self, small_grid_path):
+    @pytest.mark.parametrize(
+        "extra, sizes",
+        [
+            ({}, (500, 1500)),
+            ({"noise": 0.01, "epsilon": 0.05}, (500, 1500)),
+            ({"estimator": "glasso"}, (200,)),
+        ],
+        ids=["direct", "noise-epsilon", "glasso"],
+    )
+    def test_row_replay(self, small_grid_path, extra, sizes):
         config = ExperimentConfig(
-            grid=small_grid_path, sample_sizes=(500, 1500), repetitions=2, seed=9
+            grid=small_grid_path, sample_sizes=sizes, repetitions=2, seed=9, **extra
         )
         result = run_sweep(config)
         for row in result.rows[:4]:
+            assert row["status"] == "ok"
             again = replay_cell(config, row["sample_size"], row["seed"], row["algorithm"])
             assert again == row["error_ratio"]
 
@@ -223,6 +246,16 @@ class TestDetectSweep:
             accuracy[row["sample_size"]].append(1 - row["error_ratio"])
         assert np.mean(accuracy[20000]) >= np.mean(accuracy[500])
         assert np.mean(accuracy[20000]) == 1.0
+
+    def test_summary_counts_failures_per_sample_size(self, grids):
+        # n=1 cannot give a covariance, so only that sample size fails
+        before, after, _ = grids
+        config = DetectConfig(
+            before=before, after=after, sample_sizes=(1, 2000), repetitions=3, seed=2
+        )
+        result, _ = detect_sweep(config)
+        counts = {r["sample_size"]: (r["ok_rows"], r["failed_rows"]) for r in result.summary}
+        assert counts == {1: (0, 3), 2000: (3, 0)}
 
     def test_identical_grids_rejected(self, grids):
         before, _, _ = grids
