@@ -16,38 +16,25 @@ from pathlib import Path
 
 import numpy as np
 
-from . import glasso
 from .detect import detect_change, export_report
 from .errors import NumericalError, ValidationError
-from .estimator import (
-    analytic_concentration,
-    default_ridge,
-    direct_concentration,
-    export_concentration,
-    gamma_thresholds,
-    import_concentration,
-    sample_covariance,
-)
+from .estimator import export_concentration, import_concentration, sample_covariance
 from .generate import generate_grid
 from .grid import load_grid, reduced_laplacians, save_grid, structure_report
 from .sampler import add_noise, export_samples, import_samples, sample_voltages
 from .sweep import (
     DetectConfig,
     ExperimentConfig,
+    _concentration,
+    _half_gamma,
     _injection_stats,
+    _learn,
     _relative_noise,
     detect_sweep,
     run_sweep,
     threshold_sensitivity,
 )
-from .topology import (
-    export_estimate,
-    learn_neighborhood,
-    learn_sign_rule,
-    recover_parameters,
-    score,
-    threshold_by_gap,
-)
+from .topology import export_estimate, recover_parameters, score, threshold_by_gap
 
 __all__ = ["main"]
 
@@ -73,6 +60,16 @@ def _load_config(path) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+
+
+def _config(cls, args):
+    """``cls`` from the ``--config`` file with the flags given on top; each
+    flag's ``dest`` is the name of the config field it sets."""
+    flags = {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__}
+    config = cls.from_dict(_load_config(args.config), **flags)
+    if config.out is None:
+        raise ValidationError(f"{args.command} needs an output directory (--out)")
+    return config
 
 
 def cmd_gen_grid(args) -> int:
@@ -110,23 +107,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    bus_order = None
-    if args.grid:
-        bus_order = load_grid(args.grid).non_reference
+    bus_order = load_grid(args.grid).non_reference if args.grid else None
     samples = import_samples(args.samples, bus_order=bus_order)
+    # Only graphical_lasso holds the default iteration budget.
+    budget = {} if args.max_iter is None else {"max_iter": args.max_iter}
     cov = sample_covariance(samples)
-    if args.method == "glasso":
-        lam = args.lam
-        if lam is None:
-            lam = glasso.default_lambda(samples.n, cov.shape[0])
-        # Only graphical_lasso holds the default iteration budget.
-        budget = {} if args.max_iter is None else {"max_iter": args.max_iter}
-        conc = glasso.graphical_lasso(
-            cov, lam, tol=args.tol, bus_order=samples.bus_order, **budget
-        )
-    else:
-        ridge = args.ridge if args.ridge is not None else default_ridge(cov, samples.n)
-        conc = direct_concentration(cov, ridge, bus_order=samples.bus_order)
+    conc = _concentration(
+        cov, samples.n, samples.bus_order, args.method, args.lam, args.ridge, tol=args.tol, **budget
+    )
     export_concentration(conc, args.out)
     print(f"wrote {args.out} ({conc.provenance})")
     return 0
@@ -137,25 +125,17 @@ def cmd_learn(args) -> int:
     truth = load_grid(args.truth) if args.truth else None
     tau1, tau2 = args.tau1, args.tau2
     if truth is not None and (tau1 is None or tau2 is None):
-        stats = _injection_stats(truth, args.sigma, args.sigma_pq)
-        gamma1, gamma2 = gamma_thresholds(
-            analytic_concentration(reduced_laplacians(truth), stats)
-        )
-        tau1 = gamma1 / 2 if tau1 is None else tau1
-        tau2 = gamma2 / 2 if tau2 is None else tau2
-    if args.alg == "neighborhood":
-        if tau1 is None:
-            n = conc.n
-            off = ~np.eye(n, dtype=bool)
-            tau1 = threshold_by_gap(conc.j_vv[off])
-        estimate = learn_neighborhood(conc, tau1)
-    else:
-        if tau2 is None:
-            n = conc.n
-            off = ~np.eye(n, dtype=bool)
-            s = conc.sign_sum()[off]
-            tau2 = threshold_by_gap(-s[s < 0])
-        estimate = learn_sign_rule(conc, tau2)
+        half1, half2 = _half_gamma(truth, args.sigma, args.sigma_pq)
+        tau1 = half1 if tau1 is None else tau1
+        tau2 = half2 if tau2 is None else tau2
+    # Without a threshold, cut at the largest gap of the off-diagonal statistic.
+    off = ~np.eye(conc.n, dtype=bool)
+    if args.alg == "neighborhood" and tau1 is None:
+        tau1 = threshold_by_gap(conc.j_vv[off])
+    if args.alg == "sign" and tau2 is None:
+        s = conc.sign_sum()[off]
+        tau2 = threshold_by_gap(-s[s < 0])
+    estimate = _learn(conc, args.alg, tau1, tau2)
     error = score(estimate, truth) if truth is not None else None
     export_estimate(estimate, args.out, error=error)
     msg = f"wrote {args.out}: {len(estimate.edges)} edges"
@@ -198,20 +178,7 @@ def cmd_detect(args) -> int:
         export_report(report, args.out)
         print(f"wrote {args.out}: {report.kind} {report.endpoints or ''}")
         return 0
-    payload = _load_config(args.config)
-    config = DetectConfig.from_dict(
-        payload,
-        before=args.before,
-        after=args.after,
-        sample_sizes=args.n,
-        repetitions=args.reps,
-        seed=args.seed,
-        noise=args.noise,
-        tau3=args.tau3,
-        out=args.out,
-    )
-    if config.out is None:
-        raise ValidationError("detect needs an output directory (--out)")
+    config = _config(DetectConfig, args)
     result, analytic_report = detect_sweep(config)
     result.write(config.out)
     export_report(analytic_report, Path(config.out) / "analytic_report.json")
@@ -220,25 +187,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    payload = _load_config(args.config)
-    config = ExperimentConfig.from_dict(
-        payload,
-        grid=args.grid,
-        sample_sizes=args.n,
-        repetitions=args.reps,
-        seed=args.seed,
-        noise=args.noise,
-        epsilon=args.epsilon,
-        estimator=args.estimator,
-        lam=args.lam,
-        tau1=args.tau1,
-        tau2=args.tau2,
-        out=args.out,
-    )
-    if config.grid is None:
-        raise ValidationError("sweep needs a grid (--grid or config)")
-    if config.out is None:
-        raise ValidationError("sweep needs an output directory (--out)")
+    config = _config(ExperimentConfig, args)
     result = run_sweep(config)
     result.write(config.out)
     ok = sum(1 for r in result.rows if r["status"] == "ok")
@@ -247,19 +196,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold_sensitivity(args) -> int:
-    payload = _load_config(args.config)
-    config = ExperimentConfig.from_dict(
-        payload,
-        grid=args.grid,
-        sample_sizes=args.n,
-        repetitions=args.reps,
-        seed=args.seed,
-        noise=args.noise,
-        epsilon=args.epsilon,
-        out=args.out,
-    )
-    if config.grid is None or config.out is None:
-        raise ValidationError("threshold-sensitivity needs --grid and --out")
+    config = _config(ExperimentConfig, args)
     result = threshold_sensitivity(config, args.multipliers)
     result.write(config.out)
     print(f"wrote {config.out}: {len(result.rows)} rows")
@@ -269,6 +206,17 @@ def cmd_threshold_sensitivity(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridtopo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags of the sweep commands; each dest is the config field it sets.
+    harness = argparse.ArgumentParser(add_help=False)
+    harness.add_argument("--config", default=None)
+    harness.add_argument(
+        "--n", dest="sample_sizes", metavar="N", type=_int_list, help="comma-separated sample sizes"
+    )
+    harness.add_argument("--reps", dest="repetitions", metavar="REPS", type=int, default=None)
+    harness.add_argument("--seed", type=int, default=None)
+    harness.add_argument("--noise", type=float, default=None)
+    harness.add_argument("--out", default=None)
 
     p = sub.add_parser("gen-grid", help="generate a synthetic grid file")
     p.add_argument("--kind", choices=("path", "tree", "meshed"), required=True)
@@ -323,45 +271,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_recover_params)
 
-    p = sub.add_parser("detect", help="detect a single line change")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("detect", parents=[harness], help="detect a single line change")
     p.add_argument("--before", default=None, help="grid file before the event")
     p.add_argument("--after", default=None, help="grid file after the event")
     p.add_argument("--before-conc", default=None, help="concentration CSV before (matrix mode)")
     p.add_argument("--after-conc", default=None, help="concentration CSV after (matrix mode)")
-    p.add_argument("--n", type=_int_list, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--tau3", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("sweep", help="sample-size sweep of the learning pipeline")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser(
+        "sweep", parents=[harness], help="sample-size sweep of the learning pipeline"
+    )
     p.add_argument("--grid", default=None)
-    p.add_argument("--n", type=_int_list, default=None, help="comma-separated sample sizes")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--estimator", choices=("direct", "glasso"), default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--tau1", type=float, default=None)
     p.add_argument("--tau2", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold-sensitivity", help="errors under scaled thresholds")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser(
+        "threshold-sensitivity", parents=[harness], help="errors under scaled thresholds"
+    )
     p.add_argument("--grid", default=None)
-    p.add_argument("--n", type=_int_list, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--multipliers", type=_float_list, default=(0.8, 1.0, 1.2))
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_threshold_sensitivity)
 
     return parser

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grid import LaplacianPair
 from .sampler import (
+    COND_LIMIT,
     InjectionStatistics,
     NoiseStatistics,
     VoltageSampleSet,
@@ -58,7 +59,6 @@ __all__ = [
 # An entry counts as zero when below this fraction of the block maximum:
 # the exact-sparsity statements hold only in real arithmetic.
 NUMERIC_ZERO_FLOOR = 1e-10
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,8 @@ def noise_deviation_bound(
 ) -> NoiseDeviationBound:
     if stats.n != laplacians.n:
         raise ValidationError("statistics and Laplacians disagree on bus count")
-    lam_noise = float(np.linalg.eigvalsh(noise.matrix)[-1])
+    noise_eigs = np.linalg.eigvalsh(noise.matrix)
+    lam_noise = float(noise_eigs[-1])
     h_eigs = np.linalg.eigvalsh(laplacians.composite)
     lam_h2 = float(np.max(np.abs(h_eigs)) ** 2)
     sigma_pq = stats.covariance()
@@ -277,7 +278,6 @@ def noise_deviation_bound(
     value = lam_noise * lam_h2**2 / lam_min_pq**2
 
     chain: tuple[float, ...] = ()
-    noise_eigs = np.linalg.eigvalsh(noise.matrix)
     if noise_eigs[0] > 0:
         j0 = analytic_concentration(laplacians, stats).j
         lam_max_j = float(np.linalg.eigvalsh(j0)[-1])

@@ -20,7 +20,9 @@ import csv
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
 
@@ -72,18 +74,40 @@ ROW_FIELDS = (
 )
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value has the annotated type; lists pass for tuples
+    and integers for floats, booleans only for bool."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 class _Config:
     """``from_dict`` and the field checks shared by the sweep configs."""
 
     @classmethod
     def from_dict(cls, payload: dict, **overrides):
         """Payload keys plus the overrides that are not None, rejecting keys
-        the config lacks."""
+        the config lacks, required keys left out and values of the wrong
+        type."""
         merged = dict(payload)
         merged.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = set(merged) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(merged) - set(fields)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        missing = [k for k, f in fields.items() if f.default is MISSING and k not in merged]
+        if missing:
+            raise ValidationError(f"missing config keys: {missing}")
+        hints = typing.get_type_hints(cls)
+        for key, value in merged.items():
+            if not _fits(value, hints[key]):
+                raise ValidationError(f"config key {key!r} must be {fields[key].type}: {value!r}")
         return cls(**merged)
 
     def __post_init__(self):
@@ -222,36 +246,56 @@ def _relative_noise(lap, stats: InjectionStatistics, level: float):
 
 def _estimate(lap, stats, noise, n, sample_seed, estimator="direct", lam=None, ridge=None):
     """Samples, plus noise drawn from ``sample_seed + 1`` when ``noise`` is
-    set, then the covariance and its concentration matrix by direct
-    inversion or by the graphical lasso on the standardized covariance."""
+    set, then the concentration matrix of their covariance."""
     samples = sample_voltages(lap, stats, n, sample_seed)
     if noise is not None:
         samples = add_noise(samples, noise, sample_seed + 1)
-    cov = sample_covariance(samples)
+    return _concentration(sample_covariance(samples), n, lap.bus_order, estimator, lam, ridge)
+
+
+def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, **fit):
+    """Concentration matrix of the covariance of ``n`` samples, by direct
+    inversion or by the graphical lasso on the standardized covariance;
+    ``fit`` (``tol``, ``max_iter``) goes to the graphical lasso only."""
     if estimator == "glasso":
-        lam = lam if lam is not None else glasso.default_lambda(n, 2 * lap.n)
+        lam = lam if lam is not None else glasso.default_lambda(n, cov.shape[0])
         # The penalty rate presumes standardized variables: solve on
         # the correlation matrix, then map the precision back.
         scale = np.sqrt(np.diag(cov))
         if np.any(scale <= 0):
             raise NumericalError("degenerate sample variance")
         corr = cov / np.outer(scale, scale)
-        fit = glasso.graphical_lasso(corr, lam, bus_order=lap.bus_order)
+        result = glasso.graphical_lasso(corr, lam, bus_order=bus_order, **fit)
         return ConcentrationMatrix(
-            j=fit.j / np.outer(scale, scale),
-            bus_order=lap.bus_order,
+            j=result.j / np.outer(scale, scale),
+            bus_order=bus_order,
             provenance="graphical_lasso",
-            meta={**fit.meta, "standardized": True},
+            meta={**result.meta, "standardized": True},
         )
     ridge = ridge if ridge is not None else default_ridge(cov, n)
-    return direct_concentration(cov, ridge, bus_order=lap.bus_order)
+    return direct_concentration(cov, ridge, bus_order=bus_order)
+
+
+def _half_gamma(grid: GridGraph, sigma: float, sigma_pq: float) -> tuple[float, float]:
+    """Half the gamma thresholds of the grid's analytic concentration matrix
+    under uncorrelated injections: the default ``(tau1, tau2)``."""
+    analytic = analytic_concentration(
+        reduced_laplacians(grid), _injection_stats(grid, sigma, sigma_pq)
+    )
+    gamma1, gamma2 = gamma_thresholds(analytic)
+    return gamma1 / 2, gamma2 / 2
+
+
+def _learn(conc: ConcentrationMatrix, algorithm: str, tau1, tau2):
+    """Topology estimate of one learning algorithm at the given thresholds."""
+    if algorithm == "neighborhood":
+        return learn_neighborhood(conc, tau1)
+    return learn_sign_rule(conc, tau2)
 
 
 def _learn_score(conc: ConcentrationMatrix, grid: GridGraph, algorithm: str, tau1, tau2) -> float:
     """Error ratio of one learning algorithm at the given thresholds."""
-    if algorithm == "neighborhood":
-        return score(learn_neighborhood(conc, tau1), grid)
-    return score(learn_sign_rule(conc, tau2), grid)
+    return score(_learn(conc, algorithm, tau1, tau2), grid)
 
 
 def _attempt(fn, *args):
@@ -265,6 +309,16 @@ def _attempt(fn, *args):
     return value, 1000 * (time.perf_counter() - t0), status
 
 
+def _attempt_score(estimate, grid: GridGraph, algorithm: str, tau1, tau2):
+    """``_attempt`` of ``_learn_score`` on an ``_attempt``-ed estimate; the
+    time includes the estimate's, and a failed estimate gives its status."""
+    conc, est_ms, status = estimate
+    if conc is None:
+        return None, est_ms, status
+    err, learn_ms, status = _attempt(_learn_score, conc, grid, algorithm, tau1, tau2)
+    return err, est_ms + learn_ms, status
+
+
 class _SweepContext:
     """Shared, deterministic per-grid quantities of a sweep."""
 
@@ -274,13 +328,9 @@ class _SweepContext:
         self.lap = reduced_laplacians(self.grid)
         self.stats = _injection_stats(self.grid, config.sigma, config.sigma_pq, config.epsilon)
         self.noise = _relative_noise(self.lap, self.stats, config.noise)
-        # Thresholds come from the uncorrelated model.
-        analytic = analytic_concentration(
-            self.lap, _injection_stats(self.grid, config.sigma, config.sigma_pq)
-        )
-        gamma1, gamma2 = gamma_thresholds(analytic)
-        self.tau1 = config.tau_multiplier * (config.tau1 if config.tau1 is not None else gamma1 / 2)
-        self.tau2 = config.tau_multiplier * (config.tau2 if config.tau2 is not None else gamma2 / 2)
+        half1, half2 = _half_gamma(self.grid, config.sigma, config.sigma_pq)
+        self.tau1 = config.tau_multiplier * (config.tau1 if config.tau1 is not None else half1)
+        self.tau2 = config.tau_multiplier * (config.tau2 if config.tau2 is not None else half2)
 
     def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
         c = self.config
@@ -295,13 +345,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     for n_index, n in enumerate(config.sample_sizes):
         for rep in range(config.repetitions):
             sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), n_index)
-            conc, est_ms, est_status = _attempt(ctx.estimate, n, sample_seed)
+            estimate = _attempt(ctx.estimate, n, sample_seed)
             for alg in config.algorithms:
-                err, learn_ms, status = None, 0.0, est_status
-                if conc is not None:
-                    err, learn_ms, status = _attempt(
-                        _learn_score, conc, ctx.grid, alg, ctx.tau1, ctx.tau2
-                    )
+                err, ms, status = _attempt_score(estimate, ctx.grid, alg, ctx.tau1, ctx.tau2)
                 rows.append(
                     {
                         "sample_size": n,
@@ -311,7 +357,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                         "noise_level": config.noise,
                         "epsilon": config.epsilon,
                         "error_ratio": err,
-                        "runtime_ms": est_ms + learn_ms,
+                        "runtime_ms": ms,
                         "status": status,
                     }
                 )
@@ -369,17 +415,14 @@ def threshold_sensitivity(
     )
     for rep in range(config.repetitions):
         sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), len(config.sample_sizes) - 1)
-        t0 = time.perf_counter()
-        conc = ctx.estimate(n, sample_seed)
-        est_ms = 1000 * (time.perf_counter() - t0)
+        estimate = _attempt(ctx.estimate, n, sample_seed)
         for mult in multipliers:
             # A zero multiplier means "keep everything numerically nonzero";
             # clamp to the smallest positive threshold the ops accept.
             tau1 = max(ctx.tau1 * mult, 1e-300)
             tau2 = max(ctx.tau2 * mult, 1e-300)
             for alg in config.algorithms:
-                t1 = time.perf_counter()
-                err = _learn_score(conc, ctx.grid, alg, tau1, tau2)
+                err, ms, status = _attempt_score(estimate, ctx.grid, alg, tau1, tau2)
                 rows.append(
                     {
                         "tau_multiplier": mult,
@@ -388,8 +431,8 @@ def threshold_sensitivity(
                         "repetition": rep,
                         "seed": sample_seed,
                         "error_ratio": err,
-                        "runtime_ms": est_ms + 1000 * (time.perf_counter() - t1),
-                        "status": "ok",
+                        "runtime_ms": ms,
+                        "status": status,
                     }
                 )
     rows.sort(key=lambda r: (r["tau_multiplier"], r["repetition"], r["algorithm"]))

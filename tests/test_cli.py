@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from gridtopo.cli import main
-from gridtopo.estimator import analytic_concentration, export_concentration
+from gridtopo.cli import build_parser, main
+from gridtopo.estimator import analytic_concentration, export_concentration, import_concentration
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
 from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance
+from gridtopo.sweep import DetectConfig, ExperimentConfig, _estimate, _injection_stats
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +285,78 @@ def test_missing_grid_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 2
+
+
+def test_threshold_sensitivity_records_failing_cells(workdir, tmp_path):
+    # A singular covariance (no ridge, fewer samples than variables) fails
+    # every estimate; each failure is a row, as in the sample-size sweep.
+    cfg_path = tmp_path / "ridge0.json"
+    cfg_path.write_text(json.dumps({"ridge": 0.0}))
+    out = tmp_path / "tau_out"
+    assert main([
+        "threshold-sensitivity", "--grid", str(workdir / "grid.json"), "--config", str(cfg_path),
+        "--n", "20", "--reps", "2", "--out", str(out),
+    ]) == 0
+    with open(out / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 3 * 2
+    assert all(row["status"].startswith("NumericalError: ") for row in rows)
+    assert all(row["error_ratio"] == "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["sweep"], None, "missing config keys: ['grid']"),
+        (["detect", "--before", "GRID"], None, "missing config keys: ['after']"),
+        (["sweep", "--grid", "GRID"], {"repetitions": "2"}, "'repetitions' must be int"),
+    ],
+)
+def test_config_error_exit_code(workdir, tmp_path, capsys, args, config, message):
+    args = [str(workdir / "grid.json") if a == "GRID" else a for a in args]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "c.json")]
+    code = main([*args, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_glasso_standardizes_like_the_sweep(tmp_path):
+    grid_path, samples, conc = tmp_path / "grid.json", tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main([
+        "gen-grid", "--kind", "meshed", "--buses", "12", "--loops", "1",
+        "--min-cycle", "7", "--seed", "12", "--out", str(grid_path),
+    ]) == 0
+    assert main([
+        "sample", "--grid", str(grid_path), "--n", "200", "--seed", "5", "--out", str(samples),
+    ]) == 0
+    assert main([
+        "estimate", "--samples", str(samples), "--method", "glasso", "--out", str(conc),
+    ]) == 0
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["standardized"] is True
+    grid = load_grid(grid_path)
+    lap = reduced_laplacians(grid)
+    expected = _estimate(lap, _injection_stats(grid, 1e-2, 0.0), None, 200, 5, "glasso").j
+    got = import_concentration(conc).j
+    off = ~np.eye(len(got), dtype=bool)
+    assert np.count_nonzero(expected[off]) > 0
+    np.testing.assert_array_equal(got[off] != 0, expected[off] != 0)
+    # Equal up to the CSV round trip, which re-centres the samples.
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+def test_sweep_flags_set_config_fields():
+    # ``_config`` passes on only the flags named like a config field; any
+    # other dest must be one the cli reads itself.
+    cli_only = {"config", "multipliers", "before_conc", "after_conc", "func", "command", "help"}
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name, config in [
+        ("sweep", ExperimentConfig),
+        ("threshold-sensitivity", ExperimentConfig),
+        ("detect", DetectConfig),
+    ]:
+        dests = {action.dest for action in commands[name]._actions}
+        assert dests - cli_only <= set(config.__dataclass_fields__), name

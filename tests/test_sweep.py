@@ -60,6 +60,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match="strictly increasing"):
             DetectConfig(before="a.json", after="b.json", sample_sizes=(100, 100))
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({}, r"missing config keys: \['grid'\]"),
+            ({"grid": "g.json", "repetitions": "2"}, "'repetitions' must be int"),
+            ({"grid": "g.json", "sample_sizes": [10, "20"]}, "'sample_sizes' must be"),
+            ({"grid": "g.json", "lam": "0.1"}, "'lam' must be float"),
+            ({"grid": "g.json", "sigma": True}, "'sigma' must be float"),
+        ],
+    )
+    def test_from_dict_rejects_missing_and_mistyped(self, payload, message):
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict(payload)
+
+    def test_from_dict_accepts_json_types(self):
+        config = ExperimentConfig.from_dict(
+            {"grid": "g.json", "sample_sizes": [10, 20], "lam": 1, "seeds": None}
+        )
+        assert config.sample_sizes == (10, 20) and config.lam == 1
+
     def test_overrides_win(self, small_grid_path):
         config = ExperimentConfig.from_dict(
             {"grid": small_grid_path, "repetitions": 4}, repetitions=2
