@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimator import ConcentrationMatrix
-from .grid import GridGraph, LaplacianPair, admittance, reduced_laplacians
+from .grid import GridGraph, admittance, reduced_laplacians
 from .sampler import InjectionStatistics
 
 __all__ = [
@@ -98,7 +98,6 @@ def addition_endpoint_deltas(
     b: str,
     r: float,
     x: float,
-    laplacians: LaplacianPair | None = None,
 ) -> tuple[float, float]:
     """Closed-form endpoint deltas for adding line (a, b) to a grid.
 
@@ -115,7 +114,7 @@ def addition_endpoint_deltas(
     ref = grid_before.reference
     if a == ref or b == ref:
         raise ValidationError("closed form defined for non-reference endpoints")
-    lap = laplacians if laplacians is not None else reduced_laplacians(grid_before)
+    lap = reduced_laplacians(grid_before)
     order = {bus: k for k, bus in enumerate(lap.bus_order)}
     if a not in order or b not in order:
         raise ValidationError("endpoints must be non-reference buses of the grid")

@@ -369,8 +369,11 @@ def import_concentration(path) -> ConcentrationMatrix:
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if not meta_path.exists():
         raise ValidationError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    bus_order = tuple(meta.pop("bus_order"))
-    provenance = meta.pop("provenance")
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        bus_order = tuple(meta.pop("bus_order"))
+        provenance = meta.pop("provenance")
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc
     return ConcentrationMatrix(j=j, bus_order=bus_order, provenance=provenance, meta=meta)

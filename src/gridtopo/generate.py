@@ -11,32 +11,18 @@ create cycles at least that long.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridGraph, Line, structure_report
+from .grid import GridGraph, Line, _distances, _edge_key, structure_report
 
 __all__ = ["generate_grid", "random_connected_grid"]
+
+_MAX_TRIES = 200
 
 
 def _bus_name(i: int, width: int) -> str:
     return f"b{i:0{width}d}"
-
-
-def _bfs_dist(adj, src):
-    # sorted neighbor expansion keeps candidate order independent of
-    # string-hash randomization across interpreter runs
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def _random_tree(rng: np.random.Generator, nodes: list[str], chain_bias: float):
@@ -60,12 +46,12 @@ def _add_chords(rng, adj, nodes, loops, min_cycle):
     for _ in range(loops):
         candidates = []
         for u in nodes:
-            dist = _bfs_dist(adj, u)
-            for w, d in dist.items():
+            for w, d in _distances(adj, u, limit=min_cycle - 1).items():
                 if d == min_cycle - 1 and u < w:
                     candidates.append((u, w))
         if not candidates:
             return None
+        # sorted, so the pick does not depend on set order (string hashing)
         candidates.sort()
         u, w = candidates[int(rng.integers(0, len(candidates)))]
         adj[u].add(w)
@@ -84,7 +70,6 @@ def generate_grid(
     r_range: tuple[float, float] = (0.05, 0.3),
     x_range: tuple[float, float] = (0.05, 0.3),
     min_non_leaves: int = 0,
-    max_tries: int = 200,
 ) -> GridGraph:
     """Generate a grid of the requested kind.
 
@@ -112,7 +97,7 @@ def generate_grid(
     reference, interior = names[0], names[1:]
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         if kind == "path":
             edges = list(zip(names[:-1], names[1:]))
         else:
@@ -128,12 +113,7 @@ def generate_grid(
             # single feeder line from the substation
             edges.insert(0, (reference, interior[0]))
         lines = tuple(
-            Line(
-                a=min(u, w),
-                b=max(u, w),
-                r=float(rng.uniform(*r_range)),
-                x=float(rng.uniform(*x_range)),
-            )
+            Line(*_edge_key(u, w), r=float(rng.uniform(*r_range)), x=float(rng.uniform(*x_range)))
             for u, w in edges
         )
         grid = GridGraph(buses=tuple(names), reference=reference, lines=lines)
@@ -147,7 +127,7 @@ def generate_grid(
         return grid
     raise ValidationError(
         f"could not generate a {kind} grid with buses={buses}, loops={loops}, "
-        f"min_cycle={min_cycle} after {max_tries} tries"
+        f"min_cycle={min_cycle} after {_MAX_TRIES} tries"
     )
 
 
@@ -180,12 +160,12 @@ def random_connected_grid(
     width = max(2, len(str(buses - 1)))
     names = [_bus_name(i, width) for i in range(buses)]
     edges, _ = _random_tree(rng, names, chain_bias=0.4)
-    present = {tuple(sorted(e)) for e in edges}
+    present = {_edge_key(*e) for e in edges}
     tries = 0
     while len(present) < len(edges) + extra_edges and tries < 50 * (extra_edges + 1):
         tries += 1
         u, w = rng.choice(len(names), size=2, replace=False)
-        key = tuple(sorted((names[u], names[w])))
+        key = _edge_key(names[u], names[w])
         if key in present:
             continue
         present.add(key)

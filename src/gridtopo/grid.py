@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Mapping
+from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
@@ -42,6 +42,21 @@ __all__ = [
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _distances(adj: Mapping[str, Iterable], src: str, limit: float = math.inf) -> dict[str, int]:
+    """Hop distances from ``src`` by breadth-first search, up to ``limit`` hops."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if dist[u] >= limit:
+            continue
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -112,23 +127,8 @@ class GridGraph:
             if line.key in seen:
                 raise ValidationError(f"duplicate line ({line.a},{line.b})")
             seen.add(line.key)
-        if not self._is_connected():
+        if len(_distances(self.adjacency, self.buses[0])) != len(self.buses):
             raise ValidationError("grid graph is not connected")
-
-    def _is_connected(self) -> bool:
-        adj: dict[str, list[str]] = {b: [] for b in self.buses}
-        for line in self.lines:
-            adj[line.a].append(line.b)
-            adj[line.b].append(line.a)
-        seen = {self.buses[0]}
-        queue = deque([self.buses[0]])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.buses)
 
     @cached_property
     def non_reference(self) -> tuple[str, ...]:
@@ -271,7 +271,7 @@ class StructureReport:
         return math.isinf(self.min_cycle_length)
 
 
-def _girth(adj: Mapping[str, set], nodes) -> float:
+def _girth(adj: Mapping[str, Iterable], nodes) -> float:
     """Girth by breadth-first search from every node, O(N*E)."""
     best = math.inf
     for src in nodes:
@@ -293,28 +293,15 @@ def _girth(adj: Mapping[str, set], nodes) -> float:
 
 
 def structure_report(grid: GridGraph) -> StructureReport:
-    adj_full = {b: set(grid.adjacency[b]) for b in grid.buses}
-    girth = _girth(adj_full, grid.buses)
     leaves = frozenset(b for b in grid.buses if grid.degree(b) == 1)
     non_leaves = frozenset(grid.buses) - leaves
-
-    non_ref = set(grid.non_reference)
-    adj_sub = {b: set(grid.adjacency[b]) & non_ref for b in grid.non_reference}
-    two_hop: dict[str, frozenset[str]] = {}
-    for src in grid.non_reference:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if dist[u] == 2:
-                continue
-            for w in adj_sub[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        two_hop[src] = frozenset(b for b, d in dist.items() if d == 2)
+    adj_sub = {b: grid.adjacency[b].keys() - {grid.reference} for b in grid.non_reference}
+    two_hop = {
+        src: frozenset(b for b, d in _distances(adj_sub, src, limit=2).items() if d == 2)
+        for src in grid.non_reference
+    }
     return StructureReport(
-        min_cycle_length=girth,
+        min_cycle_length=_girth(grid.adjacency, grid.buses),
         leaves=leaves,
         non_leaves=non_leaves,
         two_hop=two_hop,

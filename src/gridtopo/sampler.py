@@ -527,9 +527,12 @@ def import_samples(
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     seed = grid_hash = noise = None
     if meta_path.exists():
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        seed, grid_hash, noise = meta.get("seed"), meta.get("grid_sha256"), meta.get("noise")
+        try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            seed, grid_hash, noise = meta.get("seed"), meta.get("grid_sha256"), meta.get("noise")
+        except (OSError, json.JSONDecodeError, AttributeError) as exc:
+            raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc
     return VoltageSampleSet(
         samples=data,
         bus_order=v_buses,

@@ -472,7 +472,8 @@ def detect_sweep(config: DetectConfig):
     j_after = analytic_concentration(lap_after, stats)
     deltas = diagonal_deltas(j_before, j_after)
     order = lap_before.bus_order
-    endpoint_deltas = [abs(deltas[order.index(b)]) for b in true_edge]
+    # A reference-bus endpoint has no row; the other endpoint sets tau3.
+    endpoint_deltas = [abs(deltas[order.index(b)]) for b in true_edge if b in order]
     tau3 = config.tau3 if config.tau3 is not None else min(endpoint_deltas) / 2
     analytic_report = detect_change(j_before, j_after, tau3)
     noise = _relative_noise(lap_before, stats, config.noise)

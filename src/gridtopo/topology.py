@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estimator import NUMERIC_ZERO_FLOOR, ConcentrationMatrix, _symmetric_check
-from .grid import GridGraph
+from .grid import GridGraph, _edge_key
 
 __all__ = [
     "HybridGraph",
@@ -57,15 +57,24 @@ class HybridGraph:
 
     nodes: tuple[str, ...]
     edges: frozenset  # canonical (a, b) pairs, a < b
-    weights: Mapping[tuple, float]
     threshold: float
 
     def neighbors(self) -> dict[str, set]:
-        adj: dict[str, set] = {b: set() for b in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        return _adjacency(self.nodes, self.edges)
+
+
+def _adjacency(nodes, edges) -> dict[str, set]:
+    adj: dict[str, set] = {b: set() for b in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _pairs(mask: np.ndarray):
+    """Index pairs (i, j), i < j, where the upper triangle of ``mask`` is set."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return zip(rows.tolist(), cols.tolist())
 
 
 @dataclass(frozen=True)
@@ -106,18 +115,8 @@ def build_hybrid(conc: ConcentrationMatrix, tau1: float) -> HybridGraph:
     if tau1 <= 0:
         raise ValidationError("tau1 must be positive")
     order = conc.bus_order
-    jvv = conc.j_vv
-    edges = set()
-    weights = {}
-    for i, j in itertools.combinations(range(len(order)), 2):
-        w = abs(jvv[i, j])
-        if w > tau1:
-            key = (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
-            edges.add(key)
-            weights[key] = float(w)
-    return HybridGraph(
-        nodes=order, edges=frozenset(edges), weights=weights, threshold=float(tau1)
-    )
+    edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(np.abs(conc.j_vv) > tau1))
+    return HybridGraph(nodes=order, edges=edges, threshold=float(tau1))
 
 
 def _find_witness(adj, edges, i, j):
@@ -125,7 +124,7 @@ def _find_witness(adj, edges, i, j):
     i and j but (kl) absent; None when no witness exists."""
     common = sorted((adj[i] & adj[j]) - {i, j})
     for k, l in itertools.combinations(common, 2):
-        if (k, l) not in edges and (l, k) not in edges:
+        if (k, l) not in edges:
             return k, l
     return None
 
@@ -150,10 +149,7 @@ def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstima
             non_leaf.update((a, b))
 
     node_class = {b: (NON_LEAF if b in non_leaf else UNRESOLVED) for b in hybrid.nodes}
-    skeleton_adj: dict[str, set] = {b: set() for b in hybrid.nodes}
-    for a, b in recovered:
-        skeleton_adj[a].add(b)
-        skeleton_adj[b].add(a)
+    skeleton_adj = _adjacency(hybrid.nodes, recovered)
 
     # Leaf attachment is only sound with at least three non-leaf nodes.
     if len(non_leaf) >= 3:
@@ -161,8 +157,7 @@ def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstima
             hybrid_non_leaf = {k for k in adj[j] if k in non_leaf}
             for i in sorted(hybrid_non_leaf):
                 if skeleton_adj[i] == hybrid_non_leaf - {i}:
-                    key = (i, j) if i < j else (j, i)
-                    recovered.add(key)
+                    recovered.add(_edge_key(i, j))
                     node_class[j] = LEAF
     return TopologyEstimate(
         edges=frozenset(recovered),
@@ -177,15 +172,10 @@ def learn_sign_rule(conc: ConcentrationMatrix, tau2: float) -> TopologyEstimate:
     if tau2 <= 0:
         raise ValidationError("tau2 must be positive")
     order = conc.bus_order
-    s = conc.sign_sum()
-    edges = set()
-    for i, j in itertools.combinations(range(len(order)), 2):
-        if s[i, j] < -tau2:
-            key = (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
-            edges.add(key)
+    edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(conc.sign_sum() < -tau2))
     node_class = {b: UNRESOLVED for b in order}
     return TopologyEstimate(
-        edges=frozenset(edges),
+        edges=edges,
         node_class=node_class,
         algorithm="sign",
         thresholds={"tau2": float(tau2)},
@@ -243,11 +233,10 @@ def recover_parameters(
     if bus_order is None:
         bus_order = tuple(str(i) for i in range(n))
     floor = NUMERIC_ZERO_FLOOR * max(float(np.abs(h).max()), 1e-300)
-    lines = {}
-    for i, jx in itertools.combinations(range(n), 2):
-        if max(abs(h_g[i, jx]), abs(h_b[i, jx])) > floor:
-            key = tuple(sorted((bus_order[i], bus_order[jx])))
-            lines[key] = (float(-h_g[i, jx]), float(-h_b[i, jx]))
+    lines = {
+        _edge_key(bus_order[i], bus_order[jx]): (float(-h_g[i, jx]), float(-h_b[i, jx]))
+        for i, jx in _pairs(np.maximum(np.abs(h_g), np.abs(h_b)) > floor)
+    }
     return RecoveredParameters(
         h_composite=h, lines=lines, residual=residual, bus_order=tuple(bus_order)
     )

@@ -191,6 +191,28 @@ def test_detect_identical_grids_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("tau3", [None, "0.5"])
+def test_detect_reference_bus_line_is_ambiguous(tmp_path, tau3):
+    # A line at the reference bus moves only its other endpoint's diagonal.
+    assert main([
+        "gen-grid", "--kind", "meshed", "--buses", "12", "--loops", "1",
+        "--min-cycle", "7", "--seed", "12", "--out", str(tmp_path / "g.json"),
+    ]) == 0
+    grid = load_grid(tmp_path / "g.json")
+    assert grid.reference == "b00" and not grid.has_line("b00", "b02")
+    save_grid(apply_line_event(grid, "b00", "b02", "add", r=0.1, x=0.2), tmp_path / "after.json")
+    out = tmp_path / "o"
+    args = [
+        "detect", "--before", str(tmp_path / "g.json"), "--after", str(tmp_path / "after.json"),
+        "--n", "1000", "--reps", "1", "--out", str(out),
+    ]
+    assert main(args + (["--tau3", tau3] if tau3 else [])) == 0
+    with open(out / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["error_ratio"]) for r in rows] == [("ok:ambiguous", "1")]
+    assert json.loads((out / "analytic_report.json").read_text())["kind"] == "ambiguous"
+
 def test_sweep_command_with_config(workdir, tmp_path):
     config = {
         "grid": str(workdir / "grid.json"),
@@ -360,3 +382,31 @@ def test_sweep_flags_set_config_fields():
     ]:
         dests = {action.dest for action in commands[name]._actions}
         assert dests - cli_only <= set(config.__dataclass_fields__), name
+
+
+@pytest.mark.parametrize(
+    "command, sidecar",
+    [
+        ("learn", {"provenance": "direct"}),
+        ("learn", "{not json"),
+        ("estimate", "{not json"),
+    ],
+)
+def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):
+    data = tmp_path / "data.csv"
+    if command == "learn":
+        grid = load_grid(workdir / "grid.json")
+        export_concentration(
+            analytic_concentration(reduced_laplacians(grid), _injection_stats(grid, 1e-2, 0.0)),
+            data,
+        )
+        args = ["learn", "--concentration", str(data), "--alg", "sign"]
+    else:
+        data.write_text("v_b01,theta_b01\n0.1,0.2\n0.3,0.1\n")
+        args = ["estimate", "--samples", str(data)]
+    text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+    (tmp_path / "data.csv.meta.json").write_text(text)
+    code = main([*args, "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "malformed metadata sidecar" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gridtopo
 
 from gridtopo.errors import ValidationError
 from gridtopo.generate import generate_grid, random_connected_grid
@@ -55,6 +61,23 @@ def test_determinism():
     a = generate_grid("meshed", 25, loops=2, min_cycle=6, seed=9)
     b = generate_grid("meshed", 25, loops=2, min_cycle=6, seed=9)
     assert a == b
+
+
+def test_generation_independent_of_hash_seed():
+    # Adjacency sets iterate in string-hash order, which differs between
+    # interpreter runs; the chord draw must not depend on it.
+    code = (
+        "from gridtopo.generate import generate_grid; "
+        "print(generate_grid('meshed', 25, loops=2, min_cycle=6, seed=9).sha256)"
+    )
+    src = str(Path(gridtopo.__file__).resolve().parents[1])
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_random_connected_grid_edges():

@@ -11,8 +11,15 @@ from gridtopo.estimator import (
     gamma_thresholds,
 )
 from gridtopo.generate import generate_grid
-from gridtopo.grid import GridGraph, Line, reduced_laplacians, structure_report
+from gridtopo.grid import (
+    GridGraph,
+    Line,
+    grid_from_dict,
+    reduced_laplacians,
+    structure_report,
+)
 from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance
+from gridtopo.sweep import _estimate
 from gridtopo.topology import (
     NON_LEAF,
     UNRESOLVED,
@@ -317,3 +324,62 @@ class TestGapThreshold:
     def test_needs_two_values(self):
         with pytest.raises(ValidationError):
             threshold_by_gap(np.array([1.0]))
+
+
+class TestUnsortedBusOrder:
+    """Bus names "1".."13" sort as strings in another order than by index
+    ("10" < "9"), so every edge key must be sorted by name, not by index."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        payload = generate_grid("meshed", 14, loops=2, min_cycle=5, seed=4).to_dict()
+        name = {b: str(int(b[1:])) for b in payload["buses"]}
+        payload["buses"] = [name[b] for b in payload["buses"]]
+        payload["reference"] = name[payload["reference"]]
+        for line in payload["lines"]:
+            line["from"], line["to"] = name[line["from"]], name[line["to"]]
+        return grid_from_dict(payload)
+
+    @staticmethod
+    def oracle(order, keep):
+        return {
+            tuple(sorted((order[i], order[j])))
+            for i, j in itertools.combinations(range(len(order)), 2)
+            if keep(i, j)
+        }
+
+    @staticmethod
+    def has_index_reversed_key(order, keys):
+        return any(order.index(a) > order.index(b) for a, b in keys)
+
+    @pytest.mark.parametrize("n", [None, 400])
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
+    def test_learner_edges_match_brute_force(self, grid, n, scale):
+        lap, stats, analytic = analytic_for(grid, random_stats(grid.n, seed=4))
+        conc = analytic if n is None else _estimate(lap, stats, None, n, 11)
+        order = conc.bus_order
+        gamma1, gamma2 = gamma_thresholds(analytic)
+        tau1, tau2 = gamma1 * scale, gamma2 * scale
+        jvv, s = conc.j_vv, conc.sign_sum()
+        hybrid = build_hybrid(conc, tau1)
+        assert hybrid.edges == self.oracle(order, lambda i, j: abs(jvv[i, j]) > tau1)
+        sign = learn_sign_rule(conc, tau2)
+        assert sign.edges == self.oracle(order, lambda i, j: s[i, j] < -tau2)
+        assert self.has_index_reversed_key(order, hybrid.edges)
+
+    def test_recovered_line_keys_match_brute_force(self, grid):
+        lap = reduced_laplacians(grid)
+        stats = random_stats(grid.n, seed=4, correlated_pq=False)
+        sigma = analytic_voltage_covariance(lap, stats)
+        recovered = recover_parameters(sigma, stats.covariance(), bus_order=lap.bus_order)
+        h, n, order = recovered.h_composite, grid.n, lap.bus_order
+        h_g = ((h[:n, :n] + h[:n, :n].T) / 2 - (h[n:, n:] + h[n:, n:].T) / 2) / 2
+        h_b = (h[:n, n:] + h[:n, n:].T + h[n:, :n] + h[n:, :n].T) / 4
+        floor = NUMERIC_ZERO_FLOOR * np.abs(h).max()
+        keys = self.oracle(order, lambda i, j: max(abs(h_g[i, j]), abs(h_b[i, j])) > floor)
+        assert set(recovered.lines) == keys
+        assert self.has_index_reversed_key(order, keys)
+        for i, j in itertools.combinations(range(n), 2):
+            key = tuple(sorted((order[i], order[j])))
+            if key in keys:
+                assert recovered.lines[key] == pytest.approx((-h_g[i, j], -h_b[i, j]))
