@@ -168,7 +168,7 @@ def cmd_recover_params(args) -> int:
 
 def cmd_detect(args) -> int:
     if args.before_conc or args.after_conc:
-        if not (args.before_conc and args.after_conc and args.tau3):
+        if not (args.before_conc and args.after_conc) or args.tau3 is None:
             raise ValidationError("matrix mode needs --before-conc, --after-conc and --tau3")
         report = detect_change(
             import_concentration(args.before_conc),

@@ -39,20 +39,42 @@ Stop rule: every ``_CHECK_EVERY`` iterations the KKT residual of the
 sparse iterate Z (:func:`_kkt_residual`, the largest violation of
 ``inv(Z) - cov = lam * G`` for a subgradient G of the penalty) is
 computed, and the solver stops once it is at most ``tol``. So ``tol``
-bounds stationarity of the returned estimate directly. Z is returned only
-after ``np.linalg.cholesky`` succeeds on it, so the estimate is positive
-definite; otherwise :class:`NumericalError` is raised. Spending
+bounds stationarity of the returned estimate directly. The estimate is
+returned only after ``np.linalg.cholesky`` succeeds on it, so it is
+positive definite; otherwise :class:`NumericalError` is raised. Spending
 ``max_iter`` iterations raises :class:`ConvergenceError` with the duality
 gap of the last iterate.
+
+Newton finish (the active-set idea of QUIC, Hsieh et al., JMLR 2014):
+ADMM settles the sign pattern of Z long before it meets ``tol``. So ADMM
+runs in chunks of ``_CHECK_EVERY`` iterations, bit-identical to one long
+run, and at a check whose sign pattern equals that of the previous check
+and has not failed a finish before, :func:`_newton` takes up to
+``_NEWTON_STEPS`` full Newton steps on the face of that pattern (free
+entries: the diagonal and the support of Z, at their signs), where the
+objective is smooth. The finish stops as soon as the KKT residual is at
+most ``tol`` and Cholesky succeeds, and that point is returned. A sign
+change, a failed factorization or running out of steps abandons it, and
+ADMM continues from its own unchanged iterate, so a fit whose finishes
+all fail is the plain ADMM fit. A pattern that failed is not tried
+again: retrying it at every check made 56-bus fits twice as slow. A
+backtracking line search in place of full steps made 12-bus fits slower
+than ADMM alone. On 30 standardized 12-bus inputs at n = 200 the finish
+cut the ADMM iterations from a median of 322 (225 to 490) to 48 (25 to
+90) at the default penalty, from 480 to 135 at c = 0.1 and from 960 to
+262 at c = 0.02; CPU time per fit at the default penalty went from about
+53 to 10 ms. The estimate moves within ``tol`` of the ADMM-only one, and
+its support can differ at entries that ``tol`` does not pin.
 
 Every step is a fixed sequence of numpy and LAPACK calls, so a fit is
 deterministic at a fixed BLAS thread count.
 
 A fit's ``meta`` records ``lambda``, ``tol``, ``iterations`` (ADMM
-iterations), ``gap`` (the duality gap ``<cov, Z> - p + lam ||Z||_1,off``),
-``objective``, ``kkt_residual`` of the returned estimate, ``rho``, and
-``kernel``: the solver name ``"admm"``, which :func:`active_kernel` also
-returns.
+iterations), ``newton_steps`` (Newton steps of every finish tried, the
+abandoned ones included), ``gap`` (the duality gap
+``<cov, Z> - p + lam ||Z||_1,off``), ``objective``, ``kkt_residual`` of
+the returned estimate, ``rho``, and ``kernel``: the solver name
+``"admm"``, which :func:`active_kernel` also returns.
 """
 
 from __future__ import annotations
@@ -70,6 +92,7 @@ _SOLVER = "admm"
 _RHO_SCALE = 0.1
 _RELAX = 1.5
 _CHECK_EVERY = 5
+_NEWTON_STEPS = 6
 
 
 def active_kernel() -> str:
@@ -154,6 +177,50 @@ def _admm(
     return z, u, iteration, residual
 
 
+def _newton(
+    cov: np.ndarray, lam: float, z: np.ndarray, tol: float
+) -> tuple[tuple[np.ndarray, float] | None, int]:
+    """Polish ``z`` by full Newton steps on the face of its sign pattern.
+
+    The free entries are the diagonal and the off-diagonal support of
+    ``z``, each kept at its sign. On that face the objective
+    ``-log det P + <cov + lam sign(z), P>`` (sign taken off the diagonal)
+    is smooth; its Hessian on the free entries ``(i, j)`` and ``(k, l)``
+    is built from ``W = inv(P)`` as ``W_ik W_jl + W_il W_jk``, halved in
+    the columns of diagonal entries, which appear once in ``P``. Returns
+    the estimate and its KKT residual once that is at most ``tol`` and
+    Cholesky succeeds, or ``None`` if a free entry changes sign, a
+    factorization fails or ``_NEWTON_STEPS`` steps do not get there; and
+    the number of steps taken either way.
+    """
+    diagonal = np.eye(len(z), dtype=bool)
+    rows, cols = np.nonzero(np.triu((z != 0) | diagonal))
+    signs = np.sign(z[rows, cols])
+    half = np.where(rows == cols, 0.5, 1.0)
+    target = cov + lam * np.where(diagonal, 0.0, np.sign(z))
+    theta = z.copy()
+    for step in range(1, _NEWTON_STEPS + 1):
+        try:
+            w = np.linalg.inv(theta)
+            hessian = w[np.ix_(rows, rows)] * w[np.ix_(cols, cols)]
+            hessian += w[np.ix_(rows, cols)] * w[np.ix_(cols, rows)]
+            delta = np.linalg.solve(hessian * half, (w - target)[rows, cols])
+        except np.linalg.LinAlgError:
+            return None, step
+        theta[rows, cols] += delta
+        theta[cols, rows] = theta[rows, cols]
+        if np.any(np.sign(theta[rows, cols]) != signs):
+            return None, step
+        try:
+            np.linalg.cholesky(theta)
+            residual = _kkt_residual(cov, theta, lam)
+        except np.linalg.LinAlgError:
+            return None, step
+        if residual <= tol:
+            return (theta, residual), step
+    return None, _NEWTON_STEPS
+
+
 def graphical_lasso(
     cov: np.ndarray,
     lam: float,
@@ -192,9 +259,27 @@ def graphical_lasso(
 
     rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
     # Z starts at the solution for a saturating penalty.
-    z, _, iterations, residual = _admm(
-        cov, lam, rho, np.diag(1.0 / variances), np.zeros((p, p)), tol, max_iter
-    )
+    z, u = np.diag(1.0 / variances), np.zeros((p, p))
+    iterations = newton_steps = 0
+    residual = np.inf
+    previous, failed = None, set()
+    while iterations < max_iter:
+        chunk = min(_CHECK_EVERY, max_iter - iterations)
+        z, u, ran, checked = _admm(cov, lam, rho, z, u, tol, chunk)
+        iterations += ran
+        if np.isfinite(checked):
+            residual = checked
+        if residual <= tol or ran < _CHECK_EVERY:
+            break
+        pattern = np.sign(z).astype(np.int8).tobytes()
+        if pattern == previous and pattern not in failed:
+            polished, steps = _newton(cov, lam, z, tol)
+            newton_steps += steps
+            if polished is not None:
+                z, residual = polished
+                break
+            failed.add(pattern)
+        previous = pattern
     if not residual <= tol:
         gap = _dual_gap(cov, z, lam)
         raise ConvergenceError(
@@ -221,6 +306,7 @@ def graphical_lasso(
             "gap": _dual_gap(cov, z, lam),
             "objective": glasso_objective(cov, z, lam),
             "kkt_residual": residual,
+            "newton_steps": newton_steps,
             "kernel": _SOLVER,
             "rho": rho,
         },

@@ -71,9 +71,17 @@ def test_sample_estimate_learn_pipeline(workdir):
     assert json.loads(out2.read_text())["error"] == 0.0
 
 
-def test_learn_gap_threshold_without_truth(workdir):
-    conc = workdir / "conc.csv"
-    out = workdir / "learned_gap.json"
+def test_learn_gap_threshold_without_truth(workdir, tmp_path):
+    samples = tmp_path / "samples.csv"
+    assert main([
+        "sample", "--grid", str(workdir / "grid.json"), "--n", "20000",
+        "--seed", "7", "--out", str(samples),
+    ]) == 0
+    conc = tmp_path / "conc.csv"
+    assert main([
+        "estimate", "--samples", str(samples), "--method", "direct", "--out", str(conc),
+    ]) == 0
+    out = tmp_path / "learned_gap.json"
     assert main([
         "learn", "--concentration", str(conc), "--alg", "sign", "--out", str(out),
     ]) == 0
@@ -160,6 +168,19 @@ def test_detect_matrix_mode(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["kind"] == "added"
     assert payload["endpoints"] == sorted((a, b))
+
+
+def test_detect_matrix_mode_zero_tau3(tmp_path, capsys):
+    grid = generate_grid("tree", 6, seed=1)
+    conc = tmp_path / "c.csv"
+    stats = InjectionStatistics.uniform(grid.n)
+    export_concentration(analytic_concentration(reduced_laplacians(grid), stats), conc)
+    code = main([
+        "detect", "--before-conc", str(conc), "--after-conc", str(conc), "--tau3", "0",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert "tau3 must be positive" in capsys.readouterr().err
 
 
 def test_detect_sampled_mode(tmp_path):

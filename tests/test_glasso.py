@@ -7,11 +7,13 @@ from _oracles import (
     proximal_gradient_glasso,
     reference_admm_glasso,
 )
+from gridtopo import glasso
 from gridtopo.errors import ConvergenceError, NumericalError, ValidationError
 from gridtopo.estimator import sample_covariance
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import (
     _admm,
+    _newton,
     active_kernel,
     default_lambda,
     glasso_objective,
@@ -202,6 +204,65 @@ class TestRestrictedRegime:
     def test_default_penalty_20_bus(self, seed):
         grid = generate_grid("meshed", 20, loops=2, min_cycle=7, seed=20)
         self.check_against_oracle(standardized_covariance(grid, 2000, seed), default_lambda(2000, 38))
+
+
+class TestNewtonFinish:
+    """Newton steps on the settled ADMM support, and the fallback to ADMM."""
+
+    grid = generate_grid("meshed", 12, loops=1, min_cycle=7, seed=12)
+
+    def problem(self, c):
+        cov = standardized_covariance(self.grid, 200, seed=5)
+        return cov, default_lambda(200, 22, c=c)
+
+    def plain_admm(self, cov, lam, rho, tol):
+        start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
+        return _admm(cov, lam, rho, *start, tol, 10_000)
+
+    @pytest.mark.parametrize("c", [0.5, 0.1])
+    def test_fewer_iterations_same_optimum(self, c):
+        cov, lam = self.problem(c)
+        tol = 1e-6
+        conc = graphical_lasso(cov, lam, tol=tol)
+        _, _, admm_iterations, _ = self.plain_admm(cov, lam, conc.meta["rho"], tol)
+        assert conc.meta["newton_steps"] > 0
+        assert conc.meta["iterations"] < admm_iterations / 2
+        assert conc.meta["kkt_residual"] <= tol
+        assert glasso_kkt_residual(conc.j, cov, lam) <= tol
+        np.linalg.cholesky(conc.j)
+        oracle = proximal_gradient_glasso(cov, lam, accelerate=True)
+        assert abs(glasso_objective(cov, conc.j, lam) - penalized_objective(cov, oracle, lam)) < 1e-6
+
+    def test_failed_finish_falls_back_to_admm(self, monkeypatch):
+        tries = []
+
+        def failing(cov, lam, z, tol):
+            tries.append(tol)
+            return None, 1
+
+        monkeypatch.setattr(glasso, "_newton", failing)
+        cov, lam = self.problem(0.5)
+        tol = 1e-6
+        conc = graphical_lasso(cov, lam, tol=tol)
+        z, _, iterations, residual = self.plain_admm(cov, lam, conc.meta["rho"], tol)
+        assert tries and conc.meta["newton_steps"] == len(tries)
+        assert np.array_equal(conc.j, z)
+        assert conc.meta["iterations"] == iterations
+        assert conc.meta["kkt_residual"] == residual
+
+    def test_wrong_sign_support_fails(self):
+        cov, lam = self.problem(0.5)
+        conc = graphical_lasso(cov, lam, tol=1e-9)
+        z = conc.j.copy()
+        off = np.abs(z - np.diag(np.diag(z)))
+        i, j = np.unravel_index(np.argmax(off), z.shape)
+        z[i, j] = z[j, i] = -z[i, j]
+        estimate, steps = _newton(cov, lam, z, 1e-6)
+        assert estimate is None
+        assert 1 <= steps <= glasso._NEWTON_STEPS
+        # The settled support itself is accepted as it stands.
+        estimate, _ = _newton(cov, lam, conc.j, 1e-6)
+        assert estimate is not None and estimate[1] <= 1e-6
 
 
 class TestKernels:
