@@ -18,6 +18,10 @@ which equals H Sigma_(p,q)^{-1} H for the composite Laplacian H. Since
 H couples a bus only to its neighbors, entries vanish beyond two hops:
 the support of the concentration matrix is the grid plus its two-hop
 pairs, which is what the topology algorithms exploit.
+
+Every inversion here goes through :func:`_spd_inverse` and so through the
+one conditioning rule of :mod:`gridtopo.sampler` (all eigenvalues positive,
+max <= ``COND_LIMIT`` * min), or raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .grid import LaplacianPair
 from .sampler import (
     COND_LIMIT,
     InjectionStatistics,
     NoiseStatistics,
     VoltageSampleSet,
+    _require_conditioned,
     analytic_voltage_covariance,
 )
 
@@ -89,23 +94,12 @@ class ConcentrationMatrix:
         return self.j[: self.n, : self.n]
 
     @property
-    def j_vtheta(self) -> np.ndarray:
-        return self.j[: self.n, self.n :]
-
-    @property
-    def j_thetav(self) -> np.ndarray:
-        return self.j[self.n :, : self.n]
-
-    @property
     def j_thetatheta(self) -> np.ndarray:
         return self.j[self.n :, self.n :]
 
     def sign_sum(self) -> np.ndarray:
         """J_vv + J_thetatheta, the matrix the sign rule thresholds."""
         return self.j_vv + self.j_thetatheta
-
-    def index(self, bus: str) -> int:
-        return self.bus_order.index(bus)
 
 
 def sample_covariance(samples: VoltageSampleSet) -> np.ndarray:
@@ -138,6 +132,16 @@ def _symmetric_check(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     return (cov + cov.T) / 2
 
 
+def _spd_inverse(a: np.ndarray, message: str, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrized inverse of ``a`` once it passes the conditioning rule;
+    ``eigenvalues`` spares the decomposition when the caller has it."""
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(a)
+    _require_conditioned(eigenvalues, message)
+    inv = np.linalg.inv(a)
+    return (inv + inv.T) / 2
+
+
 def direct_concentration(
     cov: np.ndarray,
     ridge: float = 0.0,
@@ -145,21 +149,16 @@ def direct_concentration(
 ) -> ConcentrationMatrix:
     """Invert ``cov + ridge*I`` and symmetrize the result.
 
-    Fails when the (possibly ridged) matrix is numerically singular
-    (condition number above 1e12) or not positive definite.
+    Fails with :class:`NumericalError` when the (possibly ridged) matrix
+    breaks the conditioning rule (module docstring).
     """
     cov = _symmetric_check(cov)
     if ridge < 0:
         raise ValidationError("ridge must be nonnegative")
-    a = cov + ridge * np.eye(cov.shape[0])
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise NumericalError(
-            f"covariance numerically singular (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]); "
-            "increase ridge or the sample count"
-        )
-    j = np.linalg.inv(a)
-    j = (j + j.T) / 2
+    j = _spd_inverse(
+        cov + ridge * np.eye(cov.shape[0]),
+        "covariance numerically singular; increase ridge or the sample count",
+    )
     if bus_order is None:
         bus_order = tuple(str(i) for i in range(cov.shape[0] // 2))
     return ConcentrationMatrix(
@@ -178,8 +177,6 @@ def analytic_concentration(
     if stats.n != laplacians.n:
         raise ValidationError("statistics and Laplacians disagree on bus count")
     d = np.abs(stats.determinants)
-    if np.any(d <= 0):
-        raise ValidationError("zero per-bus block determinant")
     a = (stats.sigma_qq / d)[:, None]
     b = (stats.sigma_pp / d)[:, None]
     c = (stats.sigma_pq / d)[:, None]
@@ -204,11 +201,7 @@ def noisy_concentration(
     """Exact concentration of noisy measurements: inverse of the voltage
     covariance plus the noise covariance."""
     sigma = analytic_voltage_covariance(laplacians, stats) + noise.matrix
-    w = np.linalg.eigvalsh(sigma)
-    if w[0] <= 0:
-        raise NumericalError("noisy covariance not positive definite")
-    j = np.linalg.inv(sigma)
-    j = (j + j.T) / 2
+    j = _spd_inverse(sigma, "noisy covariance numerically singular")
     return ConcentrationMatrix(
         j=j, bus_order=laplacians.bus_order, provenance="analytic", meta={"noisy": True}
     )
@@ -218,27 +211,12 @@ def concentration_deviation(
     laplacians: LaplacianPair,
     stats: InjectionStatistics,
     noise: NoiseStatistics,
-    method: str = "exact",
 ) -> np.ndarray:
-    """Deviation of the concentration matrix caused by measurement noise.
-
-    ``method="exact"`` computes (Sigma + Sigma_n)^{-1} - Sigma^{-1};
-    ``method="woodbury"`` evaluates the equivalent update formula
-    -J (Sigma_n^{-1} + J)^{-1} J, which requires invertible noise. The two
-    agree to rounding and make a convenient dual route for tests.
-    """
-    j0 = analytic_concentration(laplacians, stats).j
-    if method == "exact":
-        sigma = analytic_voltage_covariance(laplacians, stats) + noise.matrix
-        delta = np.linalg.inv(sigma) - j0
-    elif method == "woodbury":
-        w = np.linalg.eigvalsh(noise.matrix)
-        if w[0] <= 0:
-            raise ValidationError("woodbury route needs positive-definite noise")
-        inner = np.linalg.inv(noise.matrix) + j0
-        delta = -j0 @ np.linalg.solve(inner, j0)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
+    """Deviation of the concentration matrix caused by measurement noise:
+    (Sigma + Sigma_n)^{-1} - Sigma^{-1}, with Sigma^{-1} in closed form."""
+    sigma = analytic_voltage_covariance(laplacians, stats) + noise.matrix
+    delta = _spd_inverse(sigma, "noisy covariance numerically singular")
+    delta -= analytic_concentration(laplacians, stats).j
     return (delta + delta.T) / 2
 
 
@@ -281,7 +259,7 @@ def noise_deviation_bound(
     if noise_eigs[0] > 0:
         j0 = analytic_concentration(laplacians, stats).j
         lam_max_j = float(np.linalg.eigvalsh(j0)[-1])
-        inner = np.linalg.inv(noise.matrix) + j0
+        inner = _spd_inverse(noise.matrix, "noise covariance numerically singular", noise_eigs) + j0
         eq_tight = lam_max_j**2 / float(np.linalg.eigvalsh(inner)[0])
         eq_mid = (lam_h2 / lam_min_pq) ** 2 / (1.0 / lam_noise)
         chain = (eq_tight, eq_mid, value)

@@ -84,7 +84,8 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .estimator import COND_LIMIT, ConcentrationMatrix, _symmetric_check
+from .estimator import ConcentrationMatrix, _symmetric_check
+from .sampler import _require_conditioned
 
 __all__ = ["graphical_lasso", "glasso_objective", "default_lambda", "active_kernel"]
 
@@ -251,8 +252,8 @@ def graphical_lasso(
     scale = max(float(np.abs(cov).max()), 1e-300)
     if eigs[0] < -1e-10 * scale:
         raise ValidationError("covariance must be positive semidefinite")
-    if lam == 0 and (eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT):
-        raise NumericalError("lam = 0 requires a nonsingular covariance")
+    if lam == 0:
+        _require_conditioned(eigs, "lam = 0 requires a nonsingular covariance")
     variances = np.diag(cov)
     if np.any(variances <= 0):
         raise NumericalError("covariance has a zero variance; the penalized problem is unbounded")

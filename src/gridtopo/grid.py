@@ -214,9 +214,6 @@ class LaplacianPair:
     def n(self) -> int:
         return len(self.bus_order)
 
-    def index(self, bus: str) -> int:
-        return self.bus_order.index(bus)
-
 
 def reduced_laplacians(grid: GridGraph) -> LaplacianPair:
     """Build the reduced weighted Laplacians of a grid.

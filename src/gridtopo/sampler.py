@@ -6,6 +6,11 @@ same bus may correlate). Each stacked injection draw (p, q) is mapped to
 stacked voltages (v, theta) by solving the composite Laplacian system,
 optionally followed by additive Gaussian measurement noise.
 
+Conditioning: every matrix the package inverts first passes one rule,
+:func:`_require_conditioned` (all eigenvalues positive, the largest at
+most ``COND_LIMIT`` = 1e12 times the smallest), or raises
+:class:`NumericalError` (cli exit 3).
+
 Reproducibility contract: the random stream for a seed is defined in
 fixed blocks of ``_BLOCK`` rows of standard normals, each produced by a
 Philox generator keyed by (seed, block index). A block's rows z map to
@@ -76,6 +81,16 @@ _BLOCK = 4096
 _CHUNK = 512
 _CURSOR_SIZE = 8
 COND_LIMIT = 1e12
+
+
+def _require_conditioned(eigenvalues: np.ndarray, message: str) -> None:
+    """Raise :class:`NumericalError` with ``message`` unless all eigenvalues
+    are positive and max <= ``COND_LIMIT`` * min; NaN fails too."""
+    lo, hi = float(np.min(eigenvalues)), float(np.max(eigenvalues))
+    if not (lo > 0 and hi <= COND_LIMIT * lo):
+        raise NumericalError(
+            f"{message} (eigenvalue range [{lo:.3e}, {hi:.3e}], condition limit {COND_LIMIT:.0e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,13 +190,10 @@ class InjectionStatistics:
 class NoiseStatistics:
     """Measurement noise covariance for the stacked (v, theta) vector.
 
-    ``matrix`` is the full 2N x 2N positive-semidefinite covariance;
-    ``per_bus`` records whether it was built from per-bus vectors, i.e.
-    noise uncorrelated across buses.
+    ``matrix`` is the full 2N x 2N positive-semidefinite covariance.
     """
 
     matrix: np.ndarray
-    per_bus: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -198,7 +210,7 @@ class NoiseStatistics:
 
     @classmethod
     def zero(cls, n: int):
-        return cls(matrix=np.zeros((2 * n, 2 * n)), per_bus=True)
+        return cls(matrix=np.zeros((2 * n, 2 * n)))
 
     @classmethod
     def from_vectors(cls, sigma_vv, sigma_tt, sigma_vt=None):
@@ -215,7 +227,7 @@ class NoiseStatistics:
         m[n:, n:] = np.diag(tt)
         m[:n, n:] = np.diag(vt)
         m[n:, :n] = np.diag(vt)
-        return cls(matrix=m, per_bus=True)
+        return cls(matrix=m)
 
     @classmethod
     def relative(cls, reference_variances, level: float):
@@ -227,6 +239,13 @@ class NoiseStatistics:
     @property
     def is_zero(self) -> bool:
         return not np.any(self.matrix)
+
+    @property
+    def per_bus(self) -> bool:
+        """Noise uncorrelated across buses: all four N x N blocks diagonal."""
+        n = self.matrix.shape[0] // 2
+        rows, cols = np.nonzero(self.matrix)
+        return bool(np.all(rows % n == cols % n))
 
     def per_bus_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.matrix.shape[0] // 2
@@ -344,9 +363,10 @@ def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.nda
 
 
 def _check_composite(lap: LaplacianPair) -> None:
-    w = np.abs(np.linalg.eigvalsh(lap.composite))
-    if w[-1] == 0 or w[0] == 0 or w[-1] / w[0] > COND_LIMIT:
-        raise NumericalError("composite Laplacian numerically singular")
+    # H is indefinite (similar to -H), so the rule reads |eigenvalues|.
+    _require_conditioned(
+        np.abs(np.linalg.eigvalsh(lap.composite)), "composite Laplacian numerically singular"
+    )
 
 
 def sample_voltages(

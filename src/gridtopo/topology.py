@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimator import NUMERIC_ZERO_FLOOR, ConcentrationMatrix, _symmetric_check
+from .estimator import NUMERIC_ZERO_FLOOR, ConcentrationMatrix, _spd_inverse, _symmetric_check
 from .grid import GridGraph, _edge_key
 
 __all__ = [
@@ -201,6 +201,8 @@ def recover_parameters(
 
     S the injection covariance. All roots are principal (positive
     semidefinite); see the class docstring for the resulting sign caveat.
+    A voltage covariance that is not positive definite is a ValidationError;
+    one that breaks the conditioning rule of the sampler a NumericalError.
     """
     sigma_v = _symmetric_check(voltage_cov, "voltage covariance")
     sigma_s = _symmetric_check(injection_cov, "injection covariance")
@@ -209,8 +211,7 @@ def recover_parameters(
     w = np.linalg.eigvalsh(sigma_v)
     if w[0] <= 0:
         raise ValidationError("voltage covariance must be positive definite")
-    j = np.linalg.inv(sigma_v)
-    j = (j + j.T) / 2
+    j = _spd_inverse(sigma_v, "voltage covariance numerically singular", w)
     root, inv_root = _principal_sqrt_and_inv(sigma_s, "injection covariance")
     inner = inv_root @ j @ inv_root
     inner = (inner + inner.T) / 2

@@ -5,7 +5,9 @@ objective is minimized by proximal gradient descent with backtracking on
 the precision matrix (no operator splitting, no dual variable, no
 eigendecomposition step), and the reference ADMM iteration takes its
 Theta-step by a matrix square root and thresholds entry by entry, where
-the solver uses an eigendecomposition and a vectorized clip.
+the solver uses an eigendecomposition and a vectorized clip. The noise
+deviation of the concentration matrix is evaluated by the Woodbury update
+instead of the difference of two inverses.
 """
 
 import numpy as np
@@ -150,3 +152,11 @@ def reference_admm_glasso(cov, lam, rho, z, u, iterations, relax=1.5):
                     z[i, j] = np.sign(x) * max(abs(x) - lam / rho, 0.0)
         u = u + relaxed - z
     return z, u
+
+
+def woodbury_deviation(j0, noise):
+    """Concentration deviation -J (Sigma_n^{-1} + J)^{-1} J caused by
+    positive-definite measurement noise; it equals
+    (Sigma + Sigma_n)^{-1} - Sigma^{-1} for J = Sigma^{-1}."""
+    delta = -j0 @ np.linalg.solve(np.linalg.inv(noise) + j0, j0)
+    return (delta + delta.T) / 2

@@ -13,6 +13,18 @@ def two_bus():
 
 
 @pytest.fixture
+def ill_conditioned3():
+    """Reference - a - b with a near-short a-r line (r = x = 1e-8) and a
+    near-open a-b line (r = x = 1e7): the composite Laplacian's condition
+    number is 1.0e15, beyond ``COND_LIMIT``."""
+    return GridGraph(
+        buses=("r", "a", "b"),
+        reference="r",
+        lines=(Line("a", "r", 1e-8, 1e-8), Line("a", "b", 1e7, 1e7)),
+    )
+
+
+@pytest.fixture
 def path3():
     """Reference - bus1 - bus2 chain, all lines (r=0, x=1)."""
     return GridGraph(

@@ -151,7 +151,7 @@ def test_c2_two_hop_sparsity(lemma_suite):
             for k, b in enumerate(order):
                 if dist[a].get(b, math.inf) >= 3:
                     far[i, k] = True
-        for block in (conc.j_vv, conc.j_vtheta, conc.j_thetav, conc.j_thetatheta):
+        for block in (conc.j_vv, conc.j[:n, n:], conc.j[n:, :n], conc.j_thetatheta):
             if far.any():
                 worst = max(worst, float(np.abs(block[far]).max() / floor))
     report(

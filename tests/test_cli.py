@@ -104,6 +104,17 @@ def test_estimate_numerical_failure_exit_code(workdir, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_sample_ill_conditioned_grid_exit_code(ill_conditioned3, tmp_path, capsys):
+    save_grid(ill_conditioned3, tmp_path / "ill.json")
+    code = main([
+        "sample", "--grid", str(tmp_path / "ill.json"), "--n", "10",
+        "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 3
+    assert "composite Laplacian" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_estimate_glasso_small_penalty(tmp_path, capsys):
     # Block coordinate descent lost positive definiteness on this input
     # (exit 3); the solver's own iteration budget must apply, not a copy.

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from _oracles import woodbury_deviation
 from conftest import random_stats
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import (
@@ -94,6 +95,12 @@ class TestDirectConcentration:
         conc = direct_concentration(cov, ridge=default_ridge(cov, 5))
         assert np.linalg.eigvalsh(conc.j)[0] > 0
 
+    def test_condition_limit_is_inclusive(self):
+        # the same rule as the glasso lam = 0 check and the sampler
+        direct_concentration(np.diag([1e12, 1e12, 1.0, 1.0]))
+        with pytest.raises(NumericalError, match="condition limit 1e\\+12"):
+            direct_concentration(np.diag([1.01e12, 1e12, 1.0, 1.0]))
+
     def test_default_ridge_policy(self):
         cov = np.eye(8)
         assert default_ridge(cov, 100) == 0.0
@@ -132,7 +139,7 @@ class TestAnalyticConcentration:
         for i, a in enumerate(lap.bus_order):
             for k, b in enumerate(lap.bus_order):
                 if dist[a].get(b, math.inf) >= 3:
-                    for block in (conc.j_vv, conc.j_vtheta, conc.j_thetav, conc.j_thetatheta):
+                    for block in (conc.j_vv, conc.j[:n, n:], conc.j[n:, :n], conc.j_thetatheta):
                         assert abs(block[i, k]) < floor
 
     def test_perturbed_matches_inverse(self, path3):
@@ -164,6 +171,22 @@ class TestNoiseDeviation:
         assert bound.per_bus_value == pytest.approx(0.04)
         assert bound.uncorrelated_value == pytest.approx(0.04)
 
+    def test_diagonal_matrix_gets_per_bus_bounds(self, two_bus):
+        lap = reduced_laplacians(two_bus)
+        stats = InjectionStatistics.uniform(1, variance=1.0)
+        noise = NoiseStatistics(matrix=np.diag([0.04, 0.04]))
+        bound = noise_deviation_bound(lap, stats, noise)
+        assert bound.per_bus_value == pytest.approx(0.04)
+        assert bound.uncorrelated_value == pytest.approx(0.04)
+
+    def test_ill_conditioned_composite_raises(self, ill_conditioned3):
+        lap, stats = reduced_laplacians(ill_conditioned3), InjectionStatistics.uniform(2, 1.0)
+        for noise in (NoiseStatistics.zero(2), NoiseStatistics.from_vectors([0.01] * 2, [0.01] * 2)):
+            with pytest.raises(NumericalError, match="composite Laplacian"):
+                noisy_concentration(lap, stats, noise)
+            with pytest.raises(NumericalError, match="composite Laplacian"):
+                concentration_deviation(lap, stats, noise)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_chain_and_empirical(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -190,8 +213,8 @@ class TestNoiseDeviation:
         stats = random_stats(grid.n, seed=seed)
         signal = np.diag(analytic_voltage_covariance(lap, stats))
         noise = NoiseStatistics.relative(signal, 0.01)
-        exact = concentration_deviation(lap, stats, noise, method="exact")
-        wood = concentration_deviation(lap, stats, noise, method="woodbury")
+        exact = concentration_deviation(lap, stats, noise)
+        wood = woodbury_deviation(analytic_concentration(lap, stats).j, noise.matrix)
         assert rel_frobenius(exact, wood) < 1e-8
         assert np.abs(exact - exact.T).max() < 1e-10 * np.abs(exact).max()
         assert np.linalg.eigvalsh(exact)[-1] < 0  # negative definite
@@ -256,5 +279,6 @@ class TestConcentrationIO:
         j = np.arange(16).reshape(4, 4).astype(float)
         j = (j + j.T) / 2
         conc = ConcentrationMatrix(j=j, bus_order=("a", "b"), provenance="analytic")
-        assert np.array_equal(conc.j_thetav, conc.j_vtheta.T)
+        assert np.array_equal(conc.j_vv, j[:2, :2])
+        assert np.array_equal(conc.j_thetatheta, j[2:, 2:])
         assert conc.j_vv.shape == (2, 2)

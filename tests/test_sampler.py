@@ -1,14 +1,16 @@
+import ast
 import csv
 import io
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_stats
 from gridtopo import sampler
-from gridtopo.errors import ValidationError
+from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.generate import generate_grid, random_connected_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
@@ -188,6 +190,29 @@ class TestSampling:
         with pytest.raises(ValidationError, match="non-negative"):
             add_noise(samples, NoiseStatistics.from_vectors([0.1, 0.1], [0.1, 0.1]), seed=-1)
 
+    def test_ill_conditioned_composite_raises(self, ill_conditioned3):
+        # |eigenvalues| of H span 7.1e-8 .. 7.1e7; the signed spectrum is
+        # symmetric about zero, so its end-to-end ratio is 1 and says nothing
+        lap, stats = reduced_laplacians(ill_conditioned3), InjectionStatistics.uniform(2, 1.0)
+        with pytest.raises(NumericalError, match="composite Laplacian"):
+            sample_voltages(lap, stats, 10, seed=0)
+        with pytest.raises(NumericalError, match="composite Laplacian"):
+            analytic_voltage_covariance(lap, stats)
+
+    def test_cond_limit_compared_in_one_function(self):
+        owners = []
+        for path in Path(sampler.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Compare) and any(
+                        isinstance(n, ast.Name) and n.id == "COND_LIMIT" for n in ast.walk(node)
+                    ):
+                        owners.append((path.name, func.name))
+        assert owners == [("sampler.py", "_require_conditioned")]
+
     def test_monte_carlo_matches_analytic(self):
         grid = generate_grid("tree", 11, seed=13)
         lap = reduced_laplacians(grid)
@@ -306,6 +331,14 @@ class TestNoise:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             NoiseStatistics(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_per_bus_read_from_the_matrix(self):
+        assert NoiseStatistics(matrix=np.diag([0.1, 0.2, 0.3, 0.4])).per_bus
+        assert NoiseStatistics.zero(2).per_bus
+        assert NoiseStatistics.from_vectors([0.1, 0.1], [0.2, 0.2], [0.05, 0.05]).per_bus
+        cross_bus = np.diag([0.1, 0.1, 0.1, 0.1])
+        cross_bus[0, 1] = cross_bus[1, 0] = 0.01
+        assert not NoiseStatistics(matrix=cross_bus).per_bus
 
 
 class TestCursor:

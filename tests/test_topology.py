@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stats
-from gridtopo.errors import ValidationError
+from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import (
     NUMERIC_ZERO_FLOOR,
     analytic_concentration,
@@ -273,6 +273,10 @@ class TestRecoverParameters:
     def test_non_pd_voltage_rejected(self):
         with pytest.raises(ValidationError, match="positive definite"):
             recover_parameters(np.zeros((2, 2)), np.eye(2))
+
+    def test_ill_conditioned_voltage_raises(self):
+        with pytest.raises(NumericalError, match="voltage covariance"):
+            recover_parameters(np.diag([1.0, 1.0, 1.0, 1e-15]), np.eye(4))
 
 
 class TestScore:
