@@ -40,6 +40,7 @@ from .sampler import (
     InjectionStatistics,
     NoiseStatistics,
     VoltageSampleSet,
+    _composite_spectrum,
     _require_conditioned,
     analytic_voltage_covariance,
 )
@@ -249,8 +250,7 @@ def noise_deviation_bound(
         raise ValidationError("statistics and Laplacians disagree on bus count")
     noise_eigs = np.linalg.eigvalsh(noise.matrix)
     lam_noise = float(noise_eigs[-1])
-    h_eigs = np.linalg.eigvalsh(laplacians.composite)
-    lam_h2 = float(np.max(np.abs(h_eigs)) ** 2)
+    lam_h2 = float(np.max(_composite_spectrum(laplacians)) ** 2)
     sigma_pq = stats.covariance()
     lam_min_pq = float(np.linalg.eigvalsh(sigma_pq)[0])
     value = lam_noise * lam_h2**2 / lam_min_pq**2

@@ -48,6 +48,19 @@ instead of redrawing from the block's first row. The state at a row is a
 function of (seed, block, row, width) alone, so the cursor saves work
 and never changes a value; entries are read and written under a lock,
 and the least recently written entry is dropped first.
+
+Transfer memo: the per-grid work of a draw is done once and kept on the
+frozen input it belongs to, through :func:`_memoized`. A
+:class:`LaplacianPair` keeps ``|eigenvalues|`` of H, which the
+conditioning rule and the noise bound read, and the transfer matrix T
+with its digest together with the :class:`InjectionStatistics` object it
+was made for; a later call with that same object reuses T, and a call
+with another object replaces it. A :class:`NoiseStatistics` keeps its
+spectral factor and digest. Both inputs are frozen and write-protect
+their arrays, so a kept value is the one a fresh call would compute: the
+memo saves work and never changes a value. It is stored only after every
+check passes, so an ill-conditioned H raises on every call. It lives and
+dies with its instance, so the module holds no arrays across calls.
 """
 
 from __future__ import annotations
@@ -317,14 +330,35 @@ def _set_philox_ints(bitgen: np.random.Philox, ints: tuple[int, ...]) -> None:
     }
 
 
-def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.ndarray:
+def _memoized(owner, name: str, key, compute, *args):
+    """``compute(*args)``, kept on the frozen ``owner`` as attribute ``name``
+    together with ``key`` and returned again while ``key`` is the same
+    object; an exception stores nothing (module docstring, Transfer memo)."""
+    memo = getattr(owner, name, None)
+    if memo is not None and memo[0] is key:
+        return memo[1]
+    value = compute(*args)
+    object.__setattr__(owner, name, (key, value))
+    return value
+
+
+def _sealed(factor: np.ndarray) -> tuple[np.ndarray, bytes]:
+    """``factor`` made read-only, with the 16-byte blake2b digest that keys
+    its cursor entries."""
+    factor.setflags(write=False)
+    return factor, hashlib.blake2b(factor.tobytes(), digest_size=16).digest()
+
+
+def _mapped_rows(
+    seed: int, start: int, stop: int, factor: np.ndarray, digest: bytes
+) -> np.ndarray:
     """Rows [start, stop) of the seed's standard-normal stream times ``factor.T``.
 
-    Chunks and the cursor are described in the module docstring. The
-    result is column-major, which the covariance's column reductions read
-    fastest.
+    ``digest`` is the factor's from :func:`_sealed`. Chunks and the cursor
+    are described in the module docstring. The result is column-major,
+    which the covariance's column reductions read fastest.
     """
-    key = (seed, factor.shape, hashlib.blake2b(factor.tobytes(), digest_size=16).digest())
+    key = (seed, factor.shape, digest)
     with _cursor_lock:
         saved = _cursor.get(key)
     out = np.empty((factor.shape[0], stop - start))
@@ -362,11 +396,36 @@ def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.nda
     return out.T
 
 
+def _abs_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    values = np.abs(np.linalg.eigvalsh(matrix))
+    values.setflags(write=False)
+    return values
+
+
+def _composite_spectrum(lap: LaplacianPair) -> np.ndarray:
+    """``|eigenvalues|`` of the composite Laplacian H, decomposed once per
+    instance. H is indefinite (similar to -H), so its conditioning and its
+    largest eigenvalue are read from absolute values."""
+    return _memoized(lap, "_spectrum_memo", None, _abs_eigenvalues, lap.composite)
+
+
 def _check_composite(lap: LaplacianPair) -> None:
-    # H is indefinite (similar to -H), so the rule reads |eigenvalues|.
-    _require_conditioned(
-        np.abs(np.linalg.eigvalsh(lap.composite)), "composite Laplacian numerically singular"
-    )
+    _require_conditioned(_composite_spectrum(lap), "composite Laplacian numerically singular")
+
+
+def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> tuple[np.ndarray, bytes]:
+    """The checked transfer matrix T = H^-1 L and its digest."""
+    _check_composite(lap)
+    try:
+        chol = np.linalg.cholesky(stats.covariance())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"injection covariance not positive definite: {exc}") from exc
+    return _sealed(np.linalg.solve(lap.composite, chol))
+
+
+def _spectral_factor(matrix: np.ndarray) -> tuple[np.ndarray, bytes]:
+    w, v = np.linalg.eigh(matrix)
+    return _sealed(v * np.sqrt(np.clip(w, 0.0, None)))
 
 
 def sample_voltages(
@@ -387,15 +446,9 @@ def sample_voltages(
         raise ValidationError(f"seed ({seed}) and offset ({offset}) must be non-negative")
     if stats.n != laplacians.n:
         raise ValidationError("statistics and Laplacians disagree on bus count")
-    _check_composite(laplacians)
-    cov = stats.covariance()
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"injection covariance not positive definite: {exc}") from exc
-    transfer = np.linalg.solve(laplacians.composite, chol)
+    transfer = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
     return VoltageSampleSet(
-        samples=_mapped_rows(seed, offset, offset + n, transfer),
+        samples=_mapped_rows(seed, offset, offset + n, *transfer),
         bus_order=laplacians.bus_order,
         seed=seed,
         offset=offset,
@@ -420,9 +473,8 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     descriptor = {"seed": seed, "per_bus": noise.per_bus, "trace": float(np.trace(noise.matrix))}
     if noise.is_zero:
         return replace(samples, noise=descriptor)
-    w, v = np.linalg.eigh(noise.matrix)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, factor)
+    factor = _memoized(noise, "_factor_memo", None, _spectral_factor, noise.matrix)
+    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, *factor)
     noisy += samples.samples
     return replace(samples, samples=noisy, noise=descriptor)
 

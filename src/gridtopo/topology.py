@@ -22,7 +22,6 @@ sandwich; see :func:`recover_parameters` for its sign caveat.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -119,16 +118,6 @@ def build_hybrid(conc: ConcentrationMatrix, tau1: float) -> HybridGraph:
     return HybridGraph(nodes=order, edges=edges, threshold=float(tau1))
 
 
-def _find_witness(adj, edges, i, j):
-    """First (k, l) pair in lexicographic order with k, l adjacent to both
-    i and j but (kl) absent; None when no witness exists."""
-    common = sorted((adj[i] & adj[j]) - {i, j})
-    for k, l in itertools.combinations(common, 2):
-        if (k, l) not in edges:
-            return k, l
-    return None
-
-
 def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstimate:
     """Neighborhood-search topology learning.
 
@@ -141,12 +130,20 @@ def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstima
     """
     hybrid = build_hybrid(conc, tau1)
     adj = hybrid.neighbors()
-    recovered: set = set()
-    non_leaf: set = set()
-    for a, b in sorted(hybrid.edges):
-        if _find_witness(adj, hybrid.edges, a, b) is not None:
-            recovered.add((a, b))
-            non_leaf.update((a, b))
+    edges = tuple(hybrid.edges)
+    index = {b: k for k, b in enumerate(hybrid.nodes)}
+    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
+    adjacent = np.zeros((len(index), len(index)), dtype=bool)
+    adjacent[ends[:, 0], ends[:, 1]] = adjacent[ends[:, 1], ends[:, 0]] = True
+    # Per edge: its common neighbours, and twice the edges among them. The
+    # float32 product is exact for counts below 2**24.
+    common = adjacent[ends[:, 0]] & adjacent[ends[:, 1]]
+    size = common.sum(axis=1)
+    weights = common.astype(np.float32)
+    links = ((weights @ adjacent.astype(np.float32)) * weights).sum(axis=1)
+    witnessed = (links < size * (size - 1)).tolist()
+    recovered = {edge for edge, found in zip(edges, witnessed) if found}
+    non_leaf = {b for edge in recovered for b in edge}
 
     node_class = {b: (NON_LEAF if b in non_leaf else UNRESOLVED) for b in hybrid.nodes}
     skeleton_adj = _adjacency(hybrid.nodes, recovered)

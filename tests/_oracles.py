@@ -7,8 +7,12 @@ eigendecomposition step), and the reference ADMM iteration takes its
 Theta-step by a matrix square root and thresholds entry by entry, where
 the solver uses an eigendecomposition and a vectorized clip. The noise
 deviation of the concentration matrix is evaluated by the Woodbury update
-instead of the difference of two inverses.
+instead of the difference of two inverses. The witness pass of the
+neighborhood search enumerates the pairs of common neighbors in a Python
+loop, where the learner counts them with array products.
 """
+
+import itertools
 
 import numpy as np
 
@@ -160,3 +164,15 @@ def woodbury_deviation(j0, noise):
     (Sigma + Sigma_n)^{-1} - Sigma^{-1} for J = Sigma^{-1}."""
     delta = -j0 @ np.linalg.solve(np.linalg.inv(noise) + j0, j0)
     return (delta + delta.T) / 2
+
+
+def witness_edges(hybrid):
+    """Hybrid edges (a, b) with a witness: two common hybrid neighbors of a
+    and b that are not hybrid-adjacent, found pair by pair."""
+    adj = hybrid.neighbors()
+    found = set()
+    for a, b in hybrid.edges:
+        common = sorted((adj[a] & adj[b]) - {a, b})
+        if any((k, l) not in hybrid.edges for k, l in itertools.combinations(common, 2)):
+            found.add((a, b))
+    return found

@@ -28,6 +28,7 @@ from gridtopo.sampler import (
     NoiseStatistics,
     VoltageSampleSet,
     analytic_voltage_covariance,
+    sample_voltages,
 )
 
 
@@ -178,6 +179,21 @@ class TestNoiseDeviation:
         bound = noise_deviation_bound(lap, stats, noise)
         assert bound.per_bus_value == pytest.approx(0.04)
         assert bound.uncorrelated_value == pytest.approx(0.04)
+
+    def test_bound_reads_the_kept_spectrum_exactly(self):
+        # the spectrum kept on the Laplacians gives the bound the bits a
+        # fresh decomposition of H gives, before and after a draw
+        grid = random_connected_grid(12, extra_edges=3, seed=4)
+        lap = reduced_laplacians(grid)
+        stats = random_stats(grid.n, seed=4)
+        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.02)
+        expected = float(np.max(np.abs(np.linalg.eigvalsh(lap.composite))) ** 2)
+        first = noise_deviation_bound(lap, stats, noise)
+        sample_voltages(lap, stats, 10, seed=1)
+        again = noise_deviation_bound(lap, stats, noise)
+        fresh = noise_deviation_bound(reduced_laplacians(grid), stats, noise)
+        assert first.ingredients["lambda_max_h2"] == expected
+        assert first == again == fresh
 
     def test_ill_conditioned_composite_raises(self, ill_conditioned3):
         lap, stats = reduced_laplacians(ill_conditioned3), InjectionStatistics.uniform(2, 1.0)

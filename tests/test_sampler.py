@@ -11,6 +11,7 @@ import pytest
 from conftest import random_stats
 from gridtopo import sampler
 from gridtopo.errors import NumericalError, ValidationError
+from gridtopo.estimator import noise_deviation_bound
 from gridtopo.generate import generate_grid, random_connected_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
@@ -409,6 +410,98 @@ class TestCursor:
         assert not any(thread.is_alive() for thread in threads)
         for k, seed in enumerate(seeds):
             assert np.array_equal(results[k], expected[seed])
+
+
+def fresh56():
+    """The 56-bus grid's Laplacians as a new instance, with no memo yet."""
+    grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1)
+    return grid, reduced_laplacians(grid)
+
+
+def count_calls(monkeypatch, name, matrix):
+    """Count ``np.linalg.<name>`` calls whose first argument is ``matrix``."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        if a is matrix:
+            calls.append(name)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestTransferMemo:
+    def test_windows_factor_the_grid_once(self, monkeypatch):
+        grid, lap = fresh56()
+        stats = random_stats(grid.n, seed=5)
+        eig = count_calls(monkeypatch, "eigvalsh", lap.composite)
+        solve = count_calls(monkeypatch, "solve", lap.composite)
+        windows = [sample_voltages(lap, stats, 700, 9, offset=700 * k).samples for k in range(10)]
+        assert (len(eig), len(solve)) == (1, 1)
+        _, other = fresh56()
+        assert np.array_equal(np.vstack(windows), sample_voltages(other, stats, 7000, 9).samples)
+        # one spectrum serves the covariance and the noise bound too
+        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.01)
+        noise_deviation_bound(lap, stats, noise)
+        assert len(eig) == 1
+
+    def test_ill_conditioned_composite_raises_every_call(self, ill_conditioned3):
+        lap, stats = reduced_laplacians(ill_conditioned3), InjectionStatistics.uniform(2, 1.0)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="composite Laplacian"):
+                sample_voltages(lap, stats, 10, seed=0)
+        assert not hasattr(lap, "_transfer_memo")
+
+    def test_alternating_stats_never_reuse_a_stale_transfer(self):
+        grid, lap = fresh56()
+        first, second = random_stats(grid.n, seed=1), random_stats(grid.n, seed=2)
+        for k in range(4):
+            for stats in (first, second, first):
+                got = sample_voltages(lap, stats, 300, 4, offset=300 * k).samples
+                _, other = fresh56()
+                assert np.array_equal(got, sample_voltages(other, stats, 300, 4, 300 * k).samples)
+
+    def test_threads_with_different_stats_match_serial(self):
+        grid, lap = fresh56()
+        stats = [random_stats(grid.n, seed=k) for k in (7, 8)]
+        windows, size = 12, 500
+        expected = [
+            sample_voltages(fresh56()[1], s, windows * size, 3 + k).samples
+            for k, s in enumerate(stats)
+        ]
+        results = {}
+
+        def read(k):
+            results[k] = np.vstack(
+                [sample_voltages(lap, stats[k], size, 3 + k, w * size).samples for w in range(windows)]
+            )
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(2):
+            assert np.array_equal(results[k], expected[k])
+
+    def test_noise_factor_kept_on_the_statistics(self, path3, monkeypatch):
+        lap = reduced_laplacians(path3)
+        noise = NoiseStatistics.from_vectors([0.1, 0.2], [0.3, 0.1], [0.05, -0.02])
+        eigh = count_calls(monkeypatch, "eigh", noise.matrix)
+        samples = sample_voltages(lap, InjectionStatistics.uniform(2), 50, seed=1)
+        noisy = [add_noise(samples, noise, seed=2).samples for _ in range(5)]
+        assert len(eigh) == 1
+        fresh = NoiseStatistics(matrix=noise.matrix.copy())
+        for got in noisy:
+            assert np.array_equal(got, add_noise(samples, fresh, seed=2).samples)
 
 
 class TestCorrelatedStats:

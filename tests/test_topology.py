@@ -3,12 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from _oracles import witness_edges
 from conftest import random_stats
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import (
     NUMERIC_ZERO_FLOOR,
     analytic_concentration,
+    default_ridge,
+    direct_concentration,
     gamma_thresholds,
+    sample_covariance,
 )
 from gridtopo.generate import generate_grid
 from gridtopo.grid import (
@@ -18,7 +22,7 @@ from gridtopo.grid import (
     reduced_laplacians,
     structure_report,
 )
-from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance
+from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance, sample_voltages
 from gridtopo.sweep import _estimate
 from gridtopo.topology import (
     NON_LEAF,
@@ -82,21 +86,23 @@ class TestBuildHybrid:
             build_hybrid(conc, 0.0)
 
 
-def brute_force_witness(adj, edges, nodes, i, j):
-    """All-pairs enumeration of the witness condition, as an oracle."""
-    for k, l in itertools.combinations(sorted(nodes), 2):
-        if k in (i, j) or l in (i, j):
-            continue
-        if (
-            k in adj[i]
-            and l in adj[i]
-            and k in adj[j]
-            and l in adj[j]
-            and (k, l) not in edges
-            and (l, k) not in edges
-        ):
-            return k, l
-    return None
+def assert_witness_pass(grid, seed, sizes):
+    """The learner's non-leaf edges are the hybrid edges the pairwise
+    oracle finds a witness for, on the analytic concentration and on
+    direct estimates from ``sizes`` samples, at three thresholds."""
+    lap, stats, analytic = analytic_for(grid)
+    gamma1, _ = gamma_thresholds(analytic)
+    concs = [analytic]
+    for n in sizes:
+        samples = sample_voltages(lap, stats, n, seed)
+        cov = sample_covariance(samples)
+        concs.append(direct_concentration(cov, default_ridge(cov, n), lap.bus_order))
+    for conc in concs:
+        for tau1 in (gamma1 / 4, gamma1 / 2, gamma1):
+            estimate = learn_neighborhood(conc, tau1)
+            non_leaf = {b for b, klass in estimate.node_class.items() if klass == NON_LEAF}
+            learned = {edge for edge in estimate.edges if set(edge) <= non_leaf}
+            assert learned == witness_edges(build_hybrid(conc, tau1)), (conc.provenance, tau1)
 
 
 class TestNeighborhoodSearch:
@@ -131,19 +137,16 @@ class TestNeighborhoodSearch:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_witness_matches_brute_force(self, seed):
+        # analytic and sampled direct estimates; sampling noise gives the
+        # hybrid graph spurious edges and so many more candidate pairs
         grid = generate_grid(
             "meshed", 20, loops=2, min_cycle=max(3, 3 + seed), seed=seed
         )
-        _, _, conc = analytic_for(grid)
-        gamma1, _ = gamma_thresholds(conc)
-        hybrid = build_hybrid(conc, gamma1 / 2)
-        adj = hybrid.neighbors()
-        from gridtopo.topology import _find_witness
+        assert_witness_pass(grid, seed, (300, 1000))
 
-        for a, b in sorted(hybrid.edges):
-            fast = _find_witness(adj, hybrid.edges, a, b)
-            slow = brute_force_witness(adj, hybrid.edges, hybrid.nodes, a, b)
-            assert fast == slow
+    def test_witness_matches_brute_force_at_56_buses(self):
+        grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1, min_non_leaves=3)
+        assert_witness_pass(grid, 56, (300, 1000))
 
     def test_node_classes(self):
         grid = generate_grid("tree", 20, seed=6, min_non_leaves=4)
