@@ -57,9 +57,12 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
+    return payload
 
 
 def _config(cls, args):

@@ -69,7 +69,7 @@ def detect_change(
     j_after: ConcentrationMatrix,
     tau3: float,
 ) -> ChangeReport:
-    if tau3 <= 0:
+    if not tau3 > 0:
         raise ValidationError("tau3 must be positive")
     deltas = diagonal_deltas(j_before, j_after)
     order = j_before.bus_order

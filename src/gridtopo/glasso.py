@@ -236,8 +236,8 @@ def graphical_lasso(
     cov : symmetric positive-semidefinite matrix with a positive
         diagonal. Must be nonsingular when ``lam`` is zero.
     lam : nonnegative off-diagonal l1 penalty.
-    tol : bound on the KKT residual of the returned estimate; iteration
-        stops as soon as the residual is at most ``tol``.
+    tol : positive bound on the KKT residual of the returned estimate;
+        iteration stops as soon as the residual is at most ``tol``.
     max_iter : ADMM iteration budget; spending it raises
         :class:`ConvergenceError` carrying the final duality gap.
 
@@ -245,8 +245,10 @@ def graphical_lasso(
     provenance ``graphical_lasso`` and fit diagnostics in ``meta``.
     """
     cov = _symmetric_check(cov)
-    if lam < 0:
+    if not lam >= 0:
         raise ValidationError("penalty must be nonnegative")
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     p = cov.shape[0]
     eigs = np.linalg.eigvalsh(cov)
     scale = max(float(np.abs(cov).max()), 1e-300)

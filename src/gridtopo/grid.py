@@ -71,6 +71,8 @@ class Line:
     def __post_init__(self):
         if self.a == self.b:
             raise ValidationError(f"self-loop on bus {self.a!r}")
+        if not (math.isfinite(self.r) and math.isfinite(self.x)):
+            raise ValidationError(f"line ({self.a},{self.b}): non-finite impedance")
         if self.r < 0:
             raise ValidationError(f"line ({self.a},{self.b}): negative resistance")
         if self.r * self.r + self.x * self.x <= 0:

@@ -126,7 +126,7 @@ class _Config:
         if min((self.seed, *(seeds or ()))) < 0:
             raise ValidationError("seed and seeds must be non-negative")
         scales = ("sigma", "noise", "epsilon", "tau_multiplier")
-        if min(getattr(self, name) for name in scales if hasattr(self, name)) < 0:
+        if not all(getattr(self, name) >= 0 for name in scales if hasattr(self, name)):
             raise ValidationError("scales must be nonnegative")
 
 
@@ -400,6 +400,8 @@ def threshold_sensitivity(
     """Errors at the largest configured sample size for scaled thresholds."""
     if not multipliers:
         raise ValidationError("need at least one tau multiplier")
+    if not all(mult >= 0 for mult in multipliers):
+        raise ValidationError("tau multipliers must be nonnegative")
     ctx = _SweepContext(config)
     n = config.sample_sizes[-1]
     rows = []

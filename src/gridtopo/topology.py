@@ -111,7 +111,7 @@ class RecoveredParameters:
 
 
 def build_hybrid(conc: ConcentrationMatrix, tau1: float) -> HybridGraph:
-    if tau1 <= 0:
+    if not tau1 > 0:
         raise ValidationError("tau1 must be positive")
     order = conc.bus_order
     edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(np.abs(conc.j_vv) > tau1))
@@ -166,7 +166,7 @@ def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstima
 
 def learn_sign_rule(conc: ConcentrationMatrix, tau2: float) -> TopologyEstimate:
     """Sign-rule topology learning: keep (ij) iff J_vv + J_tt < -tau2."""
-    if tau2 <= 0:
+    if not tau2 > 0:
         raise ValidationError("tau2 must be positive")
     order = conc.bus_order
     edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(conc.sign_sum() < -tau2))

@@ -364,6 +364,7 @@ def test_threshold_sensitivity_records_failing_cells(workdir, tmp_path):
         (["sweep"], None, "missing config keys: ['grid']"),
         (["detect", "--before", "GRID"], None, "missing config keys: ['after']"),
         (["sweep", "--grid", "GRID"], {"repetitions": "2"}, "'repetitions' must be int"),
+        (["sweep", "--grid", "GRID"], [1, 2], "must hold a JSON object"),
     ],
 )
 def test_config_error_exit_code(workdir, tmp_path, capsys, args, config, message):
@@ -442,3 +443,94 @@ def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):
     assert code == 2
     assert "malformed metadata sidecar" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory, workdir):
+    """A 500-row sample CSV of the 14-bus grid and its direct estimate."""
+    root = tmp_path_factory.mktemp("small")
+    assert main([
+        "sample", "--grid", str(workdir / "grid.json"), "--n", "500", "--seed", "3",
+        "--out", str(root / "s.csv"),
+    ]) == 0
+    assert main(["estimate", "--samples", str(root / "s.csv"), "--out", str(root / "c.csv")]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sample", "--sigma", "nan"], "per-bus variances must be positive"),
+        (["sample", "--sigma-pq", "nan"], "per-bus injection block not positive definite"),
+        (["sample", "--noise", "nan"], "per-bus noise block not positive semidefinite"),
+        (["estimate", "--ridge", "nan"], "ridge must be nonnegative"),
+        (["estimate", "--method", "glasso", "--lambda", "nan"], "penalty must be nonnegative"),
+        (["estimate", "--method", "glasso", "--tol", "0"], "tol must be positive"),
+        (["estimate", "--method", "glasso", "--tol", "-1"], "tol must be positive"),
+        (["estimate", "--method", "glasso", "--tol", "nan"], "tol must be positive"),
+        (["learn", "--tau2", "nan"], "tau2 must be positive"),
+        (["detect", "--tau3", "nan"], "tau3 must be positive"),
+        (["sweep", "--noise", "nan"], "scales must be nonnegative"),
+        (["sweep", "--epsilon", "nan"], "scales must be nonnegative"),
+        (["threshold-sensitivity", "--multipliers", "nan"], "multipliers must be nonnegative"),
+        (["threshold-sensitivity", "--multipliers", "-1"], "multipliers must be nonnegative"),
+    ],
+)
+def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):
+    # NaN passes a check written as ``x < 0``; every range check rejects it
+    grid, conc = str(workdir / "grid.json"), str(small / "c.csv")
+    inputs = {
+        "sample": ["--grid", grid, "--n", "50"],
+        "estimate": ["--samples", str(small / "s.csv")],
+        "learn": ["--concentration", conc, "--alg", "sign"],
+        "detect": ["--before-conc", conc, "--after-conc", conc],
+        "sweep": ["--grid", grid, "--n", "100", "--reps", "1"],
+        "threshold-sensitivity": ["--grid", grid, "--n", "100", "--reps", "1"],
+    }
+    out = tmp_path / "out"
+    code = main([args[0], *inputs[args[0]], *args[1:], "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "detect", "estimate", "recover-params", "sample"])
+def test_non_finite_file_exit_code(workdir, small, tmp_path, capsys, command):
+    conc = tmp_path / "inf.csv"
+    j = np.loadtxt(small / "c.csv", delimiter=",")
+    j[0, 1] = j[1, 0] = np.inf
+    np.savetxt(conc, j, delimiter=",")
+    (tmp_path / "inf.csv.meta.json").write_text((small / "c.csv.meta.json").read_text())
+    header, first, *rest = (small / "s.csv").read_text().splitlines()
+    (tmp_path / "nan.csv").write_text("\n".join([header, "nan" + first[first.index(","):], *rest]))
+    grid = load_grid(workdir / "grid.json")
+    stats = InjectionStatistics.uniform(grid.n)
+    sigma = analytic_voltage_covariance(reduced_laplacians(grid), stats)
+    sigma[0, 0] = np.inf
+    np.savetxt(tmp_path / "vcov.csv", sigma, delimiter=",")
+    np.savetxt(tmp_path / "icov.csv", stats.covariance(), delimiter=",")
+    payload = json.loads((workdir / "grid.json").read_text())
+    payload["lines"][0]["r"] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(payload))
+    args, message = {
+        "learn": (
+            ["--concentration", str(conc), "--alg", "sign"],
+            "concentration matrix has non-finite entries",
+        ),
+        "detect": (
+            ["--before-conc", str(small / "c.csv"), "--after-conc", str(conc), "--tau3", "0.1"],
+            "concentration matrix has non-finite entries",
+        ),
+        "estimate": (["--samples", str(tmp_path / "nan.csv")], "covariance has non-finite entries"),
+        "recover-params": (
+            ["--voltage-cov", str(tmp_path / "vcov.csv"), "--injection-cov",
+             str(tmp_path / "icov.csv")],
+            "voltage covariance has non-finite entries",
+        ),
+        "sample": (["--grid", str(tmp_path / "nan.json"), "--n", "5"], "non-finite impedance"),
+    }[command]
+    out = tmp_path / "out.json"
+    code = main([command, *args, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -21,13 +21,14 @@ from gridtopo.estimator import (
     noisy_concentration,
     sample_covariance,
 )
-from gridtopo.generate import random_connected_grid
+from gridtopo.generate import generate_grid, random_connected_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
     InjectionStatistics,
     NoiseStatistics,
     VoltageSampleSet,
     analytic_voltage_covariance,
+    make_correlated_stats,
     sample_voltages,
 )
 
@@ -144,13 +145,20 @@ class TestAnalyticConcentration:
                         assert abs(block[i, k]) < floor
 
     def test_perturbed_matches_inverse(self, path3):
-        from gridtopo.sampler import make_correlated_stats
-
         lap = reduced_laplacians(path3)
         stats = make_correlated_stats(path3, InjectionStatistics.uniform(2, 1.0), 0.2)
         j = analytic_concentration(lap, stats).j
         j_inv = np.linalg.inv(analytic_voltage_covariance(lap, stats))
         assert rel_frobenius(j, j_inv) < 1e-10
+
+    def test_correlated_concentration_inverts_the_covariance(self):
+        # J = H P H and Sigma = T T^T share no code past H: their product
+        # is the identity with correlated per-bus blocks and cross-bus terms
+        grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1)
+        lap = reduced_laplacians(grid)
+        stats = make_correlated_stats(grid, random_stats(grid.n, seed=3), 0.1)
+        product = analytic_concentration(lap, stats).j @ analytic_voltage_covariance(lap, stats)
+        np.testing.assert_allclose(product, np.eye(2 * grid.n), rtol=0, atol=1e-8)
 
 
 class TestNoiseDeviation:

@@ -443,9 +443,14 @@ class TestTransferMemo:
         _, other = fresh56()
         assert np.array_equal(np.vstack(windows), sample_voltages(other, stats, 7000, 9).samples)
         # one spectrum serves the covariance and the noise bound too
-        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.01)
+        inv = count_calls(monkeypatch, "inv", lap.composite)
+        sigma = analytic_voltage_covariance(lap, stats)
+        noise = NoiseStatistics.relative(np.diag(sigma), 0.01)
         noise_deviation_bound(lap, stats, noise)
-        assert len(eig) == 1
+        assert (len(eig), len(solve), len(inv)) == (1, 1, 0)
+        # the covariance is the draws' own transfer matrix times its transpose
+        t = lap._transfer_memo[1][0]
+        assert np.array_equal(sigma, t @ t.T)
 
     def test_ill_conditioned_composite_raises_every_call(self, ill_conditioned3):
         lap, stats = reduced_laplacians(ill_conditioned3), InjectionStatistics.uniform(2, 1.0)
