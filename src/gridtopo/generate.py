@@ -25,6 +25,14 @@ def _bus_name(i: int, width: int) -> str:
     return f"b{i:0{width}d}"
 
 
+def _check_range(name: str, bounds: tuple[float, float]) -> None:
+    """Reject an impedance range the generators cannot draw from: NaN,
+    infinite, reversed or not positive."""
+    lo, hi = bounds
+    if not 0 < lo <= hi < np.inf:
+        raise ValidationError(f"{name} must satisfy 0 < low <= high < inf, got ({lo}, {hi})")
+
+
 def _random_tree(rng: np.random.Generator, nodes: list[str], chain_bias: float):
     """Random tree edges; chain_bias steers toward long paths over stars."""
     edges = []
@@ -92,6 +100,8 @@ def generate_grid(
             raise ValidationError("meshed grids need loops >= 1 and min_cycle >= 3")
         if min_cycle > buses - 1:
             raise ValidationError("min_cycle larger than the non-reference bus count")
+    _check_range("r_range", r_range)
+    _check_range("x_range", x_range)
     width = max(2, len(str(buses - 1)))
     names = [_bus_name(i, width) for i in range(buses)]
     reference, interior = names[0], names[1:]
@@ -156,6 +166,8 @@ def random_connected_grid(
     """
     if buses < 2:
         raise ValidationError("need at least two buses")
+    _check_range("r_range", r_range)
+    _check_range("x_range", x_range)
     rng = np.random.default_rng(seed)
     width = max(2, len(str(buses - 1)))
     names = [_bus_name(i, width) for i in range(buses)]

@@ -94,6 +94,10 @@ __all__ = [
 
 _BLOCK = 4096
 _CHUNK = 512
+# Rows per pass over a bulk n x 2N array (covariance accumulation, CSV
+# export): such a pass holds one slice of this many rows, never a
+# full-size temporary.
+_PASS_ROWS = 4096
 _CURSOR_SIZE = 8
 COND_LIMIT = 1e12
 
@@ -142,6 +146,8 @@ class InjectionStatistics:
             n = 2 * len(pp)
             if delta.shape != (n, n):
                 raise ValidationError("precision perturbation must be 2N x 2N")
+            if not np.all(np.isfinite(delta)):
+                raise ValidationError("precision perturbation must be finite")
             if not np.allclose(delta, delta.T, atol=1e-12):
                 raise ValidationError("precision perturbation must be symmetric")
             object.__setattr__(self, "precision_perturbation", delta)
@@ -214,6 +220,8 @@ class NoiseStatistics:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValidationError("noise covariance must be square with even size")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("noise covariance must be finite")
         if not np.allclose(m, m.T, atol=1e-12):
             raise ValidationError("noise covariance must be symmetric")
         m = (m + m.T) / 2
@@ -532,11 +540,17 @@ def make_correlated_stats(
 
 
 def export_samples(samples: VoltageSampleSet, path) -> None:
-    """Write samples as CSV with a JSON metadata sidecar."""
+    """Write samples as CSV with a JSON metadata sidecar.
+
+    Rows are converted to Python floats ``_PASS_ROWS`` at a time, so the
+    writer never holds a list of the whole array."""
     path = Path(path)
+    x = samples.samples
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(samples.columns)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples.samples.tolist())
+        for start in range(0, len(x), _PASS_ROWS):
+            rows = x[start : start + _PASS_ROWS]
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
     meta = {
         "seed": samples.seed,
         "offset": samples.offset,
@@ -593,7 +607,7 @@ def import_samples(
     if difference:
         data = np.diff(data, axis=0)
     elif center:
-        data = data - data.mean(axis=0)
+        data -= data.mean(axis=0)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     seed = grid_hash = noise = None
     if meta_path.exists():

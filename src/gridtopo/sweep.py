@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import time
 import types
@@ -72,6 +73,8 @@ ROW_FIELDS = (
     "runtime_ms",
     "status",
 )
+# Thread-count variables of the common BLAS builds, recorded in meta.json.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fits(value, hint) -> bool:
@@ -188,16 +191,31 @@ class SweepResult:
             write_rows_csv(out / "summary.csv", tuple(self.summary[0]), self.summary)
         meta = {
             "config": self.config,
-            "environment": {
-                "kernel": glasso.active_kernel(),
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
+            "environment": _environment(),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         with open(out / "meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
+
+
+def _environment() -> dict:
+    """Solver kernel, versions, BLAS library and BLAS thread settings.
+
+    CSV bodies are byte-stable only at a fixed BLAS thread count, so a
+    rerun needs the thread variables as well as the library."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        library = None
+    return {
+        "kernel": glasso.active_kernel(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "blas": library,
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
 
 
 def write_rows_csv(path, fieldnames, rows) -> None:

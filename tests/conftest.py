@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,19 @@ def random_stats(n: int, seed: int, correlated_pq: bool = True) -> InjectionStat
     else:
         pq = np.zeros(n)
     return InjectionStatistics(sigma_pp=pp, sigma_qq=qq, sigma_pq=pq)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs, above what was held
+    at the call; numpy reports its array buffers to tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -474,6 +474,9 @@ def small(tmp_path_factory, workdir):
         (["sweep", "--epsilon", "nan"], "scales must be nonnegative"),
         (["threshold-sensitivity", "--multipliers", "nan"], "multipliers must be nonnegative"),
         (["threshold-sensitivity", "--multipliers", "-1"], "multipliers must be nonnegative"),
+        (["gen-grid", "--r-range", "0.3,0.1"], "r_range must satisfy 0 < low <= high < inf"),
+        (["gen-grid", "--r-range", "nan,0.2"], "r_range must satisfy 0 < low <= high < inf"),
+        (["gen-grid", "--x-range", "0,0.2"], "x_range must satisfy 0 < low <= high < inf"),
     ],
 )
 def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):
@@ -486,6 +489,7 @@ def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, me
         "detect": ["--before-conc", conc, "--after-conc", conc],
         "sweep": ["--grid", grid, "--n", "100", "--reps", "1"],
         "threshold-sensitivity": ["--grid", grid, "--n", "100", "--reps", "1"],
+        "gen-grid": ["--kind", "tree", "--buses", "6"],
     }
     out = tmp_path / "out"
     code = main([args[0], *inputs[args[0]], *args[1:], "--out", str(out)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import woodbury_deviation
-from conftest import random_stats
+from conftest import random_stats, traced_peak
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import (
     NUMERIC_ZERO_FLOOR,
@@ -66,6 +66,31 @@ class TestSampleCovariance:
         samples = make_set(rng.standard_normal((500, 8)))
         cov = sample_covariance(samples)
         assert np.array_equal(cov, cov.T)
+
+    @staticmethod
+    def one_shot(x):
+        """The covariance from one centered copy of the whole array."""
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / (len(x) - 1)
+        return (cov + cov.T) / 2
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_chunk_is_bit_identical_to_one_shot(self, order):
+        x = np.asarray(np.random.default_rng(2).standard_normal((4096, 24)) + 3.0, order=order)
+        assert sample_covariance(make_set(x)).tobytes() == self.one_shot(x).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [4097, 3 * 4096 + 5])
+    def test_chunked_sum_agrees_at_rounding_level(self, n, order):
+        x = np.asarray(np.random.default_rng(n).standard_normal((n, 24)) + 3.0, order=order)
+        cov, expected = sample_covariance(make_set(x)), self.one_shot(x)
+        assert np.abs(cov - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(cov, cov.T)
+
+    def test_holds_no_full_size_temporary(self):
+        # a centered copy of the whole array alone would read 1.0
+        samples = make_set(np.random.default_rng(3).standard_normal((20000, 40)))
+        assert traced_peak(sample_covariance, samples) < 0.5 * samples.samples.nbytes
 
 
 class TestDirectConcentration:

@@ -57,6 +57,17 @@ def test_infeasible_parameters():
         generate_grid("ring", 10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "bounds", [(0.3, 0.1), (float("nan"), 0.2), (0.0, 0.2), (0.1, float("inf"))]
+)
+@pytest.mark.parametrize("name", ["r_range", "x_range"])
+def test_bad_impedance_range(name, bounds):
+    with pytest.raises(ValidationError, match=f"{name} must satisfy 0 < low <= high"):
+        generate_grid("tree", 6, **{name: bounds})
+    with pytest.raises(ValidationError, match=f"{name} must satisfy 0 < low <= high"):
+        random_connected_grid(6, **{name: bounds})
+
+
 def test_determinism():
     a = generate_grid("meshed", 25, loops=2, min_cycle=6, seed=9)
     b = generate_grid("meshed", 25, loops=2, min_cycle=6, seed=9)

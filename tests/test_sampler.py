@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_stats
+from conftest import random_stats, traced_peak
 from gridtopo import sampler
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import noise_deviation_bound
@@ -101,6 +101,15 @@ class TestInjectionStatistics:
         with pytest.raises(ValidationError, match="positive definite"):
             InjectionStatistics(
                 sigma_pp=np.ones(2), sigma_qq=np.ones(2), sigma_pq=np.array([0.0, 1.0])
+            )
+
+    def test_rejects_non_finite_perturbation(self):
+        with pytest.raises(ValidationError, match="precision perturbation must be finite"):
+            InjectionStatistics(
+                sigma_pp=np.ones(2),
+                sigma_qq=np.ones(2),
+                sigma_pq=np.zeros(2),
+                precision_perturbation=np.full((4, 4), np.nan),
             )
 
     def test_covariance_precision_inverse(self):
@@ -332,6 +341,10 @@ class TestNoise:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             NoiseStatistics(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_non_finite_matrix(self):
+        with pytest.raises(ValidationError, match="noise covariance must be finite"):
+            NoiseStatistics(matrix=np.full((4, 4), np.nan))
 
     def test_per_bus_read_from_the_matrix(self):
         assert NoiseStatistics(matrix=np.diag([0.1, 0.2, 0.3, 0.4])).per_bus
@@ -594,10 +607,12 @@ class TestImportExport:
     def test_export_matches_csv_writer(self, tmp_path, meshed56):
         samples = sample_voltages(*meshed56, 300, seed=4)
         special = np.array([[0.0, -0.0, 1e-300, -1.5e300, 0.1, 1 / 3, 2.0**60, -7e-5]])
+        # more rows than one export pass converts at a time
+        long = np.random.default_rng(5).standard_normal((2 * 4096 + 17, 6))
         path = tmp_path / "samples.csv"
         reference = io.StringIO(newline="")
         writer = csv.writer(reference)
-        for rows in (samples.samples, special):
+        for rows in (samples.samples, special, long):
             case = VoltageSampleSet(rows, tuple(str(k) for k in range(rows.shape[1] // 2)))
             export_samples(case, path)
             reference.seek(0)
@@ -607,6 +622,15 @@ class TestImportExport:
                 writer.writerow([repr(float(value)) for value in row])
             assert path.read_bytes() == reference.getvalue().encode()
             assert np.array_equal(import_samples(path, center=False).samples, rows)
+
+    def test_csv_round_trip_holds_no_full_size_temporary(self, tmp_path):
+        # a list of all rows would read about 4 array sizes, a centered copy
+        # beside the parsed array 2
+        rows = np.random.default_rng(6).standard_normal((20000, 40))
+        case = VoltageSampleSet(rows, tuple(str(k) for k in range(20)))
+        path = tmp_path / "samples.csv"
+        assert traced_peak(export_samples, case, path) < 1.0 * rows.nbytes
+        assert traced_peak(import_samples, path) < 1.5 * rows.nbytes
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

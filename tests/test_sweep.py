@@ -118,14 +118,24 @@ class TestRunSweep:
         assert (tmp_path / "a" / "summary.csv").exists()
         assert json.loads((tmp_path / "a" / "meta.json").read_text())["config"]
 
-    def test_meta_records_environment(self, small_grid_path, tmp_path):
+    def test_meta_records_environment(self, small_grid_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
         config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), seed=3)
         run_sweep(config).write(tmp_path)
         environment = json.loads((tmp_path / "meta.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert environment == {
             "kernel": "admm",
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_threads": {
+                "OPENBLAS_NUM_THREADS": "1",
+                "OMP_NUM_THREADS": None,
+                "MKL_NUM_THREADS": "2",
+            },
         }
         assert glasso.active_kernel() == "admm"
 
