@@ -1,8 +1,8 @@
-"""Topology and line-parameter learning for meshed distribution grids.
+"""Topology learning and change detection for meshed distribution grids.
 
 The package synthesizes voltage fluctuation data for a linearized power
 flow model, estimates the voltage concentration matrix, and recovers the
-grid topology, line parameters, and single-line changes from it.
+grid topology and single-line changes from it.
 """
 
 from .detect import ChangeReport, addition_endpoint_deltas, detect_change, diagonal_deltas
@@ -46,12 +46,10 @@ from .sampler import (
 )
 from .topology import (
     HybridGraph,
-    RecoveredParameters,
     TopologyEstimate,
     build_hybrid,
     learn_neighborhood,
     learn_sign_rule,
-    recover_parameters,
     score,
 )
 

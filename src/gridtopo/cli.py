@@ -1,7 +1,7 @@
 """Command-line harness.
 
-Subcommands: gen-grid, sample, estimate, learn, recover-params, detect,
-sweep, threshold-sensitivity. Configuration comes from an optional JSON
+Subcommands: gen-grid, sample, estimate, learn, detect, sweep,
+threshold-sensitivity. Configuration comes from an optional JSON
 file (--config) with command-line flags taking precedence. Exit codes:
 0 success, 2 validation error, 3 numerical failure.
 """
@@ -34,7 +34,7 @@ from .sweep import (
     run_sweep,
     threshold_sensitivity,
 )
-from .topology import export_estimate, recover_parameters, score, threshold_by_gap
+from .topology import export_estimate, score, threshold_by_gap
 
 __all__ = ["main"]
 
@@ -99,8 +99,8 @@ def cmd_sample(args) -> int:
     grid = load_grid(args.grid)
     lap = reduced_laplacians(grid)
     stats = _injection_stats(grid, args.sigma, args.sigma_pq, args.epsilon)
-    samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
     noise = _relative_noise(lap, stats, args.noise)
+    samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
     if noise is not None:
         samples = add_noise(samples, noise, args.noise_seed)
     samples = replace(samples, grid_sha256=grid.sha256)
@@ -145,27 +145,6 @@ def cmd_learn(args) -> int:
     if error is not None:
         msg += f", error {error:.4f}"
     print(msg)
-    return 0
-
-
-def cmd_recover_params(args) -> int:
-    try:
-        voltage_cov = np.loadtxt(args.voltage_cov, delimiter=",", ndmin=2)
-        injection_cov = np.loadtxt(args.injection_cov, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read covariance file: {exc}") from exc
-    recovered = recover_parameters(voltage_cov, injection_cov)
-    payload = {
-        "residual": recovered.residual,
-        "lines": [
-            {"from": a, "to": b, "g": g, "beta": beta}
-            for (a, b), (g, beta) in sorted(recovered.lines.items())
-        ],
-    }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}: {len(recovered.lines)} lines, residual {recovered.residual:.3e}")
     return 0
 
 
@@ -267,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-pq", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn)
-
-    p = sub.add_parser("recover-params", help="reconstruct line parameters from covariances")
-    p.add_argument("--voltage-cov", required=True)
-    p.add_argument("--injection-cov", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_recover_params)
 
     p = sub.add_parser("detect", parents=[harness], help="detect a single line change")
     p.add_argument("--before", default=None, help="grid file before the event")

@@ -144,14 +144,14 @@ def default_ridge(cov: np.ndarray, n_samples: int) -> float:
     return 1e-8 * float(np.trace(cov)) / dim
 
 
-def _symmetric_check(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
+def _symmetric_check(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError(f"{name} must be square")
+        raise ValidationError("covariance must be square")
     if not np.all(np.isfinite(cov)):
-        raise ValidationError(f"{name} has non-finite entries")
+        raise ValidationError("covariance has non-finite entries")
     if not np.allclose(cov, cov.T, atol=1e-8 * max(1.0, float(np.abs(cov).max()))):
-        raise ValidationError(f"{name} must be symmetric")
+        raise ValidationError("covariance must be symmetric")
     return (cov + cov.T) / 2
 
 

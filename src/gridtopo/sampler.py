@@ -117,7 +117,8 @@ class InjectionStatistics:
     """Per-bus injection second moments, optionally with cross-bus terms.
 
     ``sigma_pp``, ``sigma_qq`` and ``sigma_pq`` hold the per-bus 2x2
-    covariance blocks of (p_i, q_i); every block must be positive definite.
+    covariance blocks of (p_i, q_i); every block must be finite and positive
+    definite.
     ``precision_perturbation`` is an optional symmetric 2N x 2N matrix
     added to the block-diagonal injection precision to model cross-bus
     dependence; the perturbed precision must stay positive definite.
@@ -138,6 +139,8 @@ class InjectionStatistics:
             raise ValidationError("per-bus variances must be positive")
         if not np.all(pp * qq - pq**2 > 0):
             raise ValidationError("per-bus injection block not positive definite")
+        if not np.all(np.isfinite([pp, qq, pq])):
+            raise ValidationError("per-bus injection moments must be finite")
         object.__setattr__(self, "sigma_pp", pp)
         object.__setattr__(self, "sigma_qq", qq)
         object.__setattr__(self, "sigma_pq", pq)

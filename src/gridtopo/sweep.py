@@ -255,9 +255,12 @@ def _injection_stats(grid: GridGraph, sigma: float, sigma_pq: float, epsilon: fl
 
 def _relative_noise(lap, stats: InjectionStatistics, level: float):
     """Measurement noise at ``level`` times each coordinate's analytic signal
-    variance, or None when ``level`` is not positive."""
-    if level <= 0:
+    variance, or None when ``level`` is zero. A NaN level goes on to
+    :class:`NoiseStatistics`, which rejects it."""
+    if level == 0:
         return None
+    if level < 0:
+        raise ValidationError("noise level must be nonnegative")
     signal_var = np.diag(analytic_voltage_covariance(lap, stats))
     return NoiseStatistics.relative(signal_var, level)
 

@@ -13,11 +13,6 @@ whose tests fail are reported Unresolved, never guessed.
 The sign rule keeps edge (ij) iff J_vv(i,j) + J_tt(i,j) is below -tau:
 on triangle-free grids that combination is strictly negative exactly on
 true edges and positive on two-hop pairs.
-
-When injection statistics are additionally available, the composite
-Laplacian (and with it every line's conductance and susceptance) can be
-reconstructed from the voltage covariance by a symmetric square-root
-sandwich; see :func:`recover_parameters` for its sign caveat.
 """
 
 from __future__ import annotations
@@ -28,18 +23,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .estimator import NUMERIC_ZERO_FLOOR, ConcentrationMatrix, _spd_inverse, _symmetric_check
+from .errors import ValidationError
+from .estimator import ConcentrationMatrix
 from .grid import GridGraph, _edge_key
 
 __all__ = [
     "HybridGraph",
     "TopologyEstimate",
-    "RecoveredParameters",
     "build_hybrid",
     "learn_neighborhood",
     "learn_sign_rule",
-    "recover_parameters",
     "score",
     "threshold_by_gap",
     "export_estimate",
@@ -87,27 +80,6 @@ class TopologyEstimate:
         for a, b in self.edges:
             if a == b:
                 raise ValidationError("estimate contains a self-loop")
-
-
-@dataclass(frozen=True)
-class RecoveredParameters:
-    """Composite Laplacian reconstruction and per-line admittances.
-
-    ``residual`` is the relative Frobenius distance of ``h_composite``
-    from the structured [[H_g, H_b], [H_b, -H_g]] form. The principal
-    square root used in the reconstruction discards eigenvalue signs, and
-    the true composite always carries negative eigenvalues, so a large
-    residual flags that the sign structure was not recoverable; per-line
-    values are only meaningful when the residual is small.
-    """
-
-    h_composite: np.ndarray
-    lines: Mapping[tuple, tuple]
-    residual: float
-    bus_order: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        self.h_composite.setflags(write=False)
 
 
 def build_hybrid(conc: ConcentrationMatrix, tau1: float) -> HybridGraph:
@@ -176,67 +148,6 @@ def learn_sign_rule(conc: ConcentrationMatrix, tau2: float) -> TopologyEstimate:
         node_class=node_class,
         algorithm="sign",
         thresholds={"tau2": float(tau2)},
-    )
-
-
-def _principal_sqrt_and_inv(matrix: np.ndarray, name: str):
-    w, v = np.linalg.eigh(matrix)
-    if w[0] <= 0:
-        raise ValidationError(f"{name} must be positive definite")
-    return v * np.sqrt(w) @ v.T, v * (1.0 / np.sqrt(w)) @ v.T
-
-
-def recover_parameters(
-    voltage_cov: np.ndarray,
-    injection_cov: np.ndarray,
-    bus_order: tuple[str, ...] | None = None,
-) -> RecoveredParameters:
-    """Reconstruct the composite Laplacian from voltage and injection
-    covariances via the principal-square-root sandwich
-
-        H = S^(1/2) sqrt( S^(-1/2) Sigma_vt^(-1) S^(-1/2) ) S^(1/2),
-
-    S the injection covariance. All roots are principal (positive
-    semidefinite); see the class docstring for the resulting sign caveat.
-    A voltage covariance that is not positive definite is a ValidationError;
-    one that breaks the conditioning rule of the sampler a NumericalError.
-    """
-    sigma_v = _symmetric_check(voltage_cov, "voltage covariance")
-    sigma_s = _symmetric_check(injection_cov, "injection covariance")
-    if sigma_v.shape != sigma_s.shape:
-        raise ValidationError("covariances must share dimensions")
-    w = np.linalg.eigvalsh(sigma_v)
-    if w[0] <= 0:
-        raise ValidationError("voltage covariance must be positive definite")
-    j = _spd_inverse(sigma_v, "voltage covariance numerically singular", w)
-    root, inv_root = _principal_sqrt_and_inv(sigma_s, "injection covariance")
-    inner = inv_root @ j @ inv_root
-    inner = (inner + inner.T) / 2
-    wi, vi = np.linalg.eigh(inner)
-    if wi[0] < -1e-8 * max(wi[-1], 1.0):
-        raise NumericalError("inner matrix has a significantly negative eigenvalue")
-    sqrt_inner = vi * np.sqrt(np.clip(wi, 0.0, None)) @ vi.T
-    h = root @ sqrt_inner @ root
-    h = (h + h.T) / 2
-
-    n = h.shape[0] // 2
-    p, q = h[:n, :n], h[:n, n:]
-    rr, s = h[n:, :n], h[n:, n:]
-    h_g = ((p + p.T) / 2 - (s + s.T) / 2) / 2
-    h_b = (q + q.T + rr + rr.T) / 4
-    structured = np.block([[h_g, h_b], [h_b, -h_g]])
-    scale = float(np.linalg.norm(h)) or 1.0
-    residual = float(np.linalg.norm(h - structured)) / scale
-
-    if bus_order is None:
-        bus_order = tuple(str(i) for i in range(n))
-    floor = NUMERIC_ZERO_FLOOR * max(float(np.abs(h).max()), 1e-300)
-    lines = {
-        _edge_key(bus_order[i], bus_order[jx]): (float(-h_g[i, jx]), float(-h_b[i, jx]))
-        for i, jx in _pairs(np.maximum(np.abs(h_g), np.abs(h_b)) > floor)
-    }
-    return RecoveredParameters(
-        h_composite=h, lines=lines, residual=residual, bus_order=tuple(bus_order)
     )
 
 

@@ -9,7 +9,7 @@ from gridtopo.estimator import analytic_concentration, export_concentration, imp
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
-from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance
+from gridtopo.sampler import InjectionStatistics
 from gridtopo.sweep import DetectConfig, ExperimentConfig, _estimate, _injection_stats
 
 
@@ -137,22 +137,6 @@ def test_estimate_glasso_small_penalty(tmp_path, capsys):
     assert meta["kkt_residual"] <= meta["tol"] == 1e-6
     assert main(estimate + ["--max-iter", "5"]) == 3
     assert "did not converge in 5 iterations" in capsys.readouterr().err
-
-
-def test_recover_params_command(tmp_path):
-    grid = generate_grid("tree", 8, seed=1)
-    lap = reduced_laplacians(grid)
-    stats = InjectionStatistics.uniform(grid.n)
-    sigma = analytic_voltage_covariance(lap, stats)
-    np.savetxt(tmp_path / "vcov.csv", sigma, delimiter=",")
-    np.savetxt(tmp_path / "icov.csv", stats.covariance(), delimiter=",")
-    out = tmp_path / "params.json"
-    assert main([
-        "recover-params", "--voltage-cov", str(tmp_path / "vcov.csv"),
-        "--injection-cov", str(tmp_path / "icov.csv"), "--out", str(out),
-    ]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["residual"] > 0
 
 
 def test_detect_matrix_mode(tmp_path):
@@ -477,6 +461,8 @@ def small(tmp_path_factory, workdir):
         (["gen-grid", "--r-range", "0.3,0.1"], "r_range must satisfy 0 < low <= high < inf"),
         (["gen-grid", "--r-range", "nan,0.2"], "r_range must satisfy 0 < low <= high < inf"),
         (["gen-grid", "--x-range", "0,0.2"], "x_range must satisfy 0 < low <= high < inf"),
+        (["sample", "--sigma", "inf"], "per-bus injection moments must be finite"),
+        (["sample", "--noise", "-1"], "noise level must be nonnegative"),
     ],
 )
 def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):
@@ -498,7 +484,7 @@ def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, me
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["learn", "detect", "estimate", "recover-params", "sample"])
+@pytest.mark.parametrize("command", ["learn", "detect", "estimate", "sample"])
 def test_non_finite_file_exit_code(workdir, small, tmp_path, capsys, command):
     conc = tmp_path / "inf.csv"
     j = np.loadtxt(small / "c.csv", delimiter=",")
@@ -507,12 +493,6 @@ def test_non_finite_file_exit_code(workdir, small, tmp_path, capsys, command):
     (tmp_path / "inf.csv.meta.json").write_text((small / "c.csv.meta.json").read_text())
     header, first, *rest = (small / "s.csv").read_text().splitlines()
     (tmp_path / "nan.csv").write_text("\n".join([header, "nan" + first[first.index(","):], *rest]))
-    grid = load_grid(workdir / "grid.json")
-    stats = InjectionStatistics.uniform(grid.n)
-    sigma = analytic_voltage_covariance(reduced_laplacians(grid), stats)
-    sigma[0, 0] = np.inf
-    np.savetxt(tmp_path / "vcov.csv", sigma, delimiter=",")
-    np.savetxt(tmp_path / "icov.csv", stats.covariance(), delimiter=",")
     payload = json.loads((workdir / "grid.json").read_text())
     payload["lines"][0]["r"] = float("nan")
     (tmp_path / "nan.json").write_text(json.dumps(payload))
@@ -526,11 +506,6 @@ def test_non_finite_file_exit_code(workdir, small, tmp_path, capsys, command):
             "concentration matrix has non-finite entries",
         ),
         "estimate": (["--samples", str(tmp_path / "nan.csv")], "covariance has non-finite entries"),
-        "recover-params": (
-            ["--voltage-cov", str(tmp_path / "vcov.csv"), "--injection-cov",
-             str(tmp_path / "icov.csv")],
-            "voltage covariance has non-finite entries",
-        ),
         "sample": (["--grid", str(tmp_path / "nan.json"), "--n", "5"], "non-finite impedance"),
     }[command]
     out = tmp_path / "out.json"

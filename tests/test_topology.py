@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import witness_edges
 from conftest import random_stats
-from gridtopo.errors import NumericalError, ValidationError
+from gridtopo.errors import ValidationError
 from gridtopo.estimator import (
     NUMERIC_ZERO_FLOOR,
     analytic_concentration,
@@ -22,7 +22,7 @@ from gridtopo.grid import (
     reduced_laplacians,
     structure_report,
 )
-from gridtopo.sampler import InjectionStatistics, analytic_voltage_covariance, sample_voltages
+from gridtopo.sampler import InjectionStatistics, sample_voltages
 from gridtopo.sweep import _estimate
 from gridtopo.topology import (
     NON_LEAF,
@@ -31,7 +31,6 @@ from gridtopo.topology import (
     build_hybrid,
     learn_neighborhood,
     learn_sign_rule,
-    recover_parameters,
     score,
     threshold_by_gap,
 )
@@ -244,44 +243,6 @@ class TestSignRule:
         assert score(learn_neighborhood(conc, gamma1 / 2), grid) > 0.0
 
 
-class TestRecoverParameters:
-    def test_two_bus_sign_ambiguity(self, two_bus):
-        # swap-matrix grid with identity injections: the reconstruction
-        # returns the identity, and the structure residual flags it
-        lap = reduced_laplacians(two_bus)
-        stats = InjectionStatistics.uniform(1, variance=1.0)
-        sigma = analytic_voltage_covariance(lap, stats)
-        recovered = recover_parameters(sigma, stats.covariance(), bus_order=lap.bus_order)
-        assert recovered.h_composite == pytest.approx(np.eye(2))
-        assert recovered.residual == pytest.approx(1.0)
-
-    def test_residual_reported_on_random_grid(self):
-        grid = generate_grid("meshed", 12, loops=1, min_cycle=4, seed=3)
-        lap = reduced_laplacians(grid)
-        stats = random_stats(grid.n, seed=3, correlated_pq=False)
-        sigma = analytic_voltage_covariance(lap, stats)
-        recovered = recover_parameters(sigma, stats.covariance(), bus_order=lap.bus_order)
-        # the composite is never positive semidefinite, so the principal
-        # root cannot reproduce it; the residual must say so
-        assert recovered.residual > 1e-6
-        assert np.linalg.eigvalsh(recovered.h_composite)[0] > -1e-10
-
-    def test_non_pd_injection_rejected(self, two_bus):
-        lap = reduced_laplacians(two_bus)
-        stats = InjectionStatistics.uniform(1, variance=1.0)
-        sigma = analytic_voltage_covariance(lap, stats)
-        with pytest.raises(ValidationError, match="positive definite"):
-            recover_parameters(sigma, np.zeros((2, 2)))
-
-    def test_non_pd_voltage_rejected(self):
-        with pytest.raises(ValidationError, match="positive definite"):
-            recover_parameters(np.zeros((2, 2)), np.eye(2))
-
-    def test_ill_conditioned_voltage_raises(self):
-        with pytest.raises(NumericalError, match="voltage covariance"):
-            recover_parameters(np.diag([1.0, 1.0, 1.0, 1e-15]), np.eye(4))
-
-
 class TestScore:
     def _estimate(self, edges, nodes):
         return TopologyEstimate(
@@ -373,20 +334,3 @@ class TestUnsortedBusOrder:
         sign = learn_sign_rule(conc, tau2)
         assert sign.edges == self.oracle(order, lambda i, j: s[i, j] < -tau2)
         assert self.has_index_reversed_key(order, hybrid.edges)
-
-    def test_recovered_line_keys_match_brute_force(self, grid):
-        lap = reduced_laplacians(grid)
-        stats = random_stats(grid.n, seed=4, correlated_pq=False)
-        sigma = analytic_voltage_covariance(lap, stats)
-        recovered = recover_parameters(sigma, stats.covariance(), bus_order=lap.bus_order)
-        h, n, order = recovered.h_composite, grid.n, lap.bus_order
-        h_g = ((h[:n, :n] + h[:n, :n].T) / 2 - (h[n:, n:] + h[n:, n:].T) / 2) / 2
-        h_b = (h[:n, n:] + h[:n, n:].T + h[n:, :n] + h[n:, :n].T) / 4
-        floor = NUMERIC_ZERO_FLOOR * np.abs(h).max()
-        keys = self.oracle(order, lambda i, j: max(abs(h_g[i, j]), abs(h_b[i, j])) > floor)
-        assert set(recovered.lines) == keys
-        assert self.has_index_reversed_key(order, keys)
-        for i, j in itertools.combinations(range(n), 2):
-            key = tuple(sorted((order[i], order[j])))
-            if key in keys:
-                assert recovered.lines[key] == pytest.approx((-h_g[i, j], -h_b[i, j]))
