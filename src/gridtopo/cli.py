@@ -102,7 +102,7 @@ def cmd_sample(args) -> int:
     noise = _relative_noise(lap, stats, args.noise)
     samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
     if noise is not None:
-        samples = add_noise(samples, noise, args.noise_seed)
+        samples = add_noise(samples, noise, args.seed + 1)
     samples = replace(samples, grid_sha256=grid.sha256)
     export_samples(samples, args.out)
     print(f"wrote {args.out}: {samples.n} samples x {samples.samples.shape[1]} columns")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-pq", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

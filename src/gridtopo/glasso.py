@@ -249,6 +249,8 @@ def graphical_lasso(
         raise ValidationError("penalty must be nonnegative")
     if not tol > 0:
         raise ValidationError("tol must be positive")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
     p = cov.shape[0]
     eigs = np.linalg.eigvalsh(cov)
     scale = max(float(np.abs(cov).max()), 1e-300)

@@ -38,8 +38,8 @@ Cursor: a standard normal uses a varying number of Philox outputs, so a
 window starting inside a block must first draw the block's earlier rows.
 To spare consecutive windows that work, ``_mapped_rows`` keeps a
 process-local cursor of at most ``_CURSOR_SIZE`` entries, keyed by the
-seed and the factor (shape and a 16-byte blake2b digest), so a signal
-stream and a noise stream on one seed do not share an entry. An entry
+seed and the factor (shape and a 16-byte blake2b digest), so the streams
+of two factors on one seed do not share an entry. An entry
 holds the block and row at which the last call on that key stopped and
 the Philox state there, all as Python ints: arrays kept across calls
 stopped the heap from shrinking and raised peak memory. A call that
@@ -470,10 +470,18 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     """Add an independent zero-mean Gaussian draw to every sample.
 
     The input set is unmodified; a zero covariance returns the samples
-    unchanged.
+    unchanged. ``seed`` must differ from the samples' own seed: one seed
+    draws the same standard normals for signal and noise, which makes
+    the noise correlated with the signal. The command line and the
+    sweeps use the sampling seed plus one.
     """
     if seed < 0:
         raise ValidationError(f"noise seed ({seed}) must be non-negative")
+    if seed == samples.seed:
+        raise ValidationError(
+            f"noise seed ({seed}) equals the sample seed; the noise would be "
+            "correlated with the signal"
+        )
     dim = samples.samples.shape[1]
     if noise.matrix.shape[0] != dim:
         raise ValidationError(

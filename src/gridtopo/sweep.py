@@ -121,14 +121,9 @@ class _Config:
             raise ValidationError("need at least one sample size")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-        seeds = getattr(self, "seeds", None)
-        if seeds is not None:
-            self.seeds = seeds = tuple(int(s) for s in seeds)
-            if len(seeds) != self.repetitions:
-                raise ValidationError("seeds list must match repetitions")
-        if min((self.seed, *(seeds or ()))) < 0:
-            raise ValidationError("seed and seeds must be non-negative")
-        scales = ("sigma", "noise", "epsilon", "tau_multiplier")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        scales = ("sigma", "noise", "epsilon")
         if not all(getattr(self, name) >= 0 for name in scales if hasattr(self, name)):
             raise ValidationError("scales must be nonnegative")
 
@@ -139,7 +134,6 @@ class ExperimentConfig(_Config):
     sample_sizes: tuple[int, ...] = (500, 1000, 5000, 10000, 100000)
     repetitions: int = 10
     seed: int = 0
-    seeds: tuple[int, ...] | None = None
     sigma: float = 1e-2
     sigma_pq: float = 0.0
     epsilon: float = 0.0
@@ -150,11 +144,15 @@ class ExperimentConfig(_Config):
     ridge: float | None = None
     tau1: float | None = None
     tau2: float | None = None
-    tau_multiplier: float = 1.0
     out: str | None = None
 
     def __post_init__(self):
         super().__post_init__()
+        # NaN fails both comparisons, so it is out of range too.
+        if not all(tau is None or tau > 0 for tau in (self.tau1, self.tau2)):
+            raise ValidationError("thresholds tau1 and tau2 must be positive")
+        if not all(v is None or v >= 0 for v in (self.lam, self.ridge)):
+            raise ValidationError("lam and ridge must be nonnegative")
         if self.estimator not in ("direct", "glasso"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         for alg in self.algorithms:
@@ -242,8 +240,13 @@ def _cell_seed(config_seed: int, rep_seed: int, n_index: int) -> int:
     return int(state[0])
 
 
-def _rep_seed(config: ExperimentConfig, rep: int) -> int:
-    return config.seeds[rep] if config.seeds is not None else config.seed + rep
+def _cells(config, n_indices):
+    """``(n_index, n, repetition, seed)`` of every cell at the given indices
+    into ``config.sample_sizes``, by size and then repetition."""
+    for n_index in n_indices:
+        for rep in range(config.repetitions):
+            seed = _cell_seed(config.seed, config.seed + rep, n_index)
+            yield n_index, config.sample_sizes[n_index], rep, seed
 
 
 def _injection_stats(grid: GridGraph, sigma: float, sigma_pq: float, epsilon: float = 0.0):
@@ -255,12 +258,11 @@ def _injection_stats(grid: GridGraph, sigma: float, sigma_pq: float, epsilon: fl
 
 def _relative_noise(lap, stats: InjectionStatistics, level: float):
     """Measurement noise at ``level`` times each coordinate's analytic signal
-    variance, or None when ``level`` is zero. A NaN level goes on to
-    :class:`NoiseStatistics`, which rejects it."""
+    variance, or None when ``level`` is zero."""
+    if not level >= 0:
+        raise ValidationError("noise level must be nonnegative")
     if level == 0:
         return None
-    if level < 0:
-        raise ValidationError("noise level must be nonnegative")
     signal_var = np.diag(analytic_voltage_covariance(lap, stats))
     return NoiseStatistics.relative(signal_var, level)
 
@@ -330,16 +332,6 @@ def _attempt(fn, *args):
     return value, 1000 * (time.perf_counter() - t0), status
 
 
-def _attempt_score(estimate, grid: GridGraph, algorithm: str, tau1, tau2):
-    """``_attempt`` of ``_learn_score`` on an ``_attempt``-ed estimate; the
-    time includes the estimate's, and a failed estimate gives its status."""
-    conc, est_ms, status = estimate
-    if conc is None:
-        return None, est_ms, status
-    err, learn_ms, status = _attempt(_learn_score, conc, grid, algorithm, tau1, tau2)
-    return err, est_ms + learn_ms, status
-
-
 class _SweepContext:
     """Shared, deterministic per-grid quantities of a sweep."""
 
@@ -350,8 +342,8 @@ class _SweepContext:
         self.stats = _injection_stats(self.grid, config.sigma, config.sigma_pq, config.epsilon)
         self.noise = _relative_noise(self.lap, self.stats, config.noise)
         half1, half2 = _half_gamma(self.grid, config.sigma, config.sigma_pq)
-        self.tau1 = config.tau_multiplier * (config.tau1 if config.tau1 is not None else half1)
-        self.tau2 = config.tau_multiplier * (config.tau2 if config.tau2 is not None else half2)
+        self.tau1 = config.tau1 if config.tau1 is not None else half1
+        self.tau2 = config.tau2 if config.tau2 is not None else half2
 
     def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
         c = self.config
@@ -360,28 +352,41 @@ class _SweepContext:
         )
 
 
-def run_sweep(config: ExperimentConfig) -> SweepResult:
+def _scored_cells(config: ExperimentConfig, n_indices, multipliers):
+    """``(multiplier, row)`` for every cell at ``n_indices``, multiplier and
+    algorithm. Each cell is estimated once and then scored at the context
+    thresholds times each multiplier; the row holds the columns that
+    ``run_sweep`` and ``threshold_sensitivity`` share. A row's time includes
+    its cell's estimate, and a failed estimate fails all the cell's rows."""
     ctx = _SweepContext(config)
-    rows = []
-    for n_index, n in enumerate(config.sample_sizes):
-        for rep in range(config.repetitions):
-            sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), n_index)
-            estimate = _attempt(ctx.estimate, n, sample_seed)
+    for _, n, rep, seed in _cells(config, n_indices):
+        conc, est_ms, est_status = _attempt(ctx.estimate, n, seed)
+        for mult in multipliers:
+            # A zero multiplier means "keep everything numerically nonzero";
+            # clamp to the smallest positive threshold the ops accept.
+            tau1 = max(ctx.tau1 * mult, 1e-300)
+            tau2 = max(ctx.tau2 * mult, 1e-300)
             for alg in config.algorithms:
-                err, ms, status = _attempt_score(estimate, ctx.grid, alg, ctx.tau1, ctx.tau2)
-                rows.append(
-                    {
-                        "sample_size": n,
-                        "repetition": rep,
-                        "seed": sample_seed,
-                        "algorithm": alg,
-                        "noise_level": config.noise,
-                        "epsilon": config.epsilon,
-                        "error_ratio": err,
-                        "runtime_ms": ms,
-                        "status": status,
-                    }
-                )
+                err, ms, status = None, 0.0, est_status
+                if conc is not None:
+                    err, ms, status = _attempt(_learn_score, conc, ctx.grid, alg, tau1, tau2)
+                yield mult, {
+                    "sample_size": n,
+                    "repetition": rep,
+                    "seed": seed,
+                    "algorithm": alg,
+                    "error_ratio": err,
+                    "runtime_ms": est_ms + ms,
+                    "status": status,
+                }
+
+
+def run_sweep(config: ExperimentConfig) -> SweepResult:
+    sizes = range(len(config.sample_sizes))
+    rows = [
+        {**row, "noise_level": config.noise, "epsilon": config.epsilon}
+        for _, row in _scored_cells(config, sizes, (1.0,))
+    ]
     rows.sort(key=lambda r: (r["sample_size"], r["repetition"], r["algorithm"]))
     return SweepResult(rows=rows, summary=_summarize(rows), config=asdict(config))
 
@@ -423,9 +428,6 @@ def threshold_sensitivity(
         raise ValidationError("need at least one tau multiplier")
     if not all(mult >= 0 for mult in multipliers):
         raise ValidationError("tau multipliers must be nonnegative")
-    ctx = _SweepContext(config)
-    n = config.sample_sizes[-1]
-    rows = []
     fields = (
         "tau_multiplier",
         "algorithm",
@@ -436,28 +438,11 @@ def threshold_sensitivity(
         "runtime_ms",
         "status",
     )
-    for rep in range(config.repetitions):
-        sample_seed = _cell_seed(config.seed, _rep_seed(config, rep), len(config.sample_sizes) - 1)
-        estimate = _attempt(ctx.estimate, n, sample_seed)
-        for mult in multipliers:
-            # A zero multiplier means "keep everything numerically nonzero";
-            # clamp to the smallest positive threshold the ops accept.
-            tau1 = max(ctx.tau1 * mult, 1e-300)
-            tau2 = max(ctx.tau2 * mult, 1e-300)
-            for alg in config.algorithms:
-                err, ms, status = _attempt_score(estimate, ctx.grid, alg, tau1, tau2)
-                rows.append(
-                    {
-                        "tau_multiplier": mult,
-                        "algorithm": alg,
-                        "sample_size": n,
-                        "repetition": rep,
-                        "seed": sample_seed,
-                        "error_ratio": err,
-                        "runtime_ms": ms,
-                        "status": status,
-                    }
-                )
+    last = (len(config.sample_sizes) - 1,)
+    rows = [
+        {**row, "tau_multiplier": mult}
+        for mult, row in _scored_cells(config, last, multipliers)
+    ]
     rows.sort(key=lambda r: (r["tau_multiplier"], r["repetition"], r["algorithm"]))
     return SweepResult(rows=rows, summary=[], config=asdict(config), fields=fields)
 
@@ -509,29 +494,26 @@ def detect_sweep(config: DetectConfig):
         )
 
     rows = []
-    for n_index, n in enumerate(config.sample_sizes):
-        for rep in range(config.repetitions):
-            s_before = _cell_seed(config.seed, config.seed + rep, n_index)
-            s_after = _cell_seed(config.seed + 7919, config.seed + rep, n_index)
-            report, ms, status = _attempt(detect_cell, n, s_before, s_after)
-            err = None
-            if report is not None:
-                err = int(not (report.kind == true_kind and report.endpoints == true_edge))
-                status = f"ok:{report.kind}"
-            rows.append(
-                {
-                    "sample_size": n,
-                    "repetition": rep,
-                    "seed": s_before,
-                    "algorithm": "detect",
-                    "noise_level": config.noise,
-                    "epsilon": 0.0,
-                    "error_ratio": err,
-                    "runtime_ms": ms,
-                    "status": status,
-                }
-            )
-    rows.sort(key=lambda r: (r["sample_size"], r["repetition"]))
+    for n_index, n, rep, s_before in _cells(config, range(len(config.sample_sizes))):
+        s_after = _cell_seed(config.seed + 7919, config.seed + rep, n_index)
+        report, ms, status = _attempt(detect_cell, n, s_before, s_after)
+        err = None
+        if report is not None:
+            err = int(not (report.kind == true_kind and report.endpoints == true_edge))
+            status = f"ok:{report.kind}"
+        rows.append(
+            {
+                "sample_size": n,
+                "repetition": rep,
+                "seed": s_before,
+                "algorithm": "detect",
+                "noise_level": config.noise,
+                "epsilon": 0.0,
+                "error_ratio": err,
+                "runtime_ms": ms,
+                "status": status,
+            }
+        )
     result = SweepResult(rows=rows, summary=_summarize(rows), config=asdict(config))
     return result, analytic_report
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,14 @@ from gridtopo.estimator import analytic_concentration, export_concentration, imp
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
-from gridtopo.sampler import InjectionStatistics
-from gridtopo.sweep import DetectConfig, ExperimentConfig, _estimate, _injection_stats
+from gridtopo.sampler import InjectionStatistics, add_noise, export_samples, sample_voltages
+from gridtopo.sweep import (
+    DetectConfig,
+    ExperimentConfig,
+    _estimate,
+    _injection_stats,
+    _relative_noise,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +286,7 @@ def test_threshold_sensitivity_command(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--offset", "-1"], ["--seed", "-2"], ["--noise-seed", "-1", "--noise", "0.1"]],
+    [["--offset", "-1"], ["--seed", "-2"]],
 )
 def test_negative_seed_or_offset_exit_code(workdir, tmp_path, capsys, flags):
     code = main([
@@ -288,6 +295,25 @@ def test_negative_seed_or_offset_exit_code(workdir, tmp_path, capsys, flags):
     ])
     assert code == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_sample_noise_drawn_from_next_seed(workdir, tmp_path):
+    # the noise stream is seed + 1, as in the sweeps, never the signal's own
+    out = tmp_path / "noisy.csv"
+    assert main([
+        "sample", "--grid", str(workdir / "grid.json"), "--n", "300",
+        "--seed", "1", "--noise", "0.5", "--out", str(out),
+    ]) == 0
+    grid = load_grid(workdir / "grid.json")
+    lap, stats = reduced_laplacians(grid), _injection_stats(grid, 1e-2, 0.0)
+    expected = add_noise(
+        sample_voltages(lap, stats, 300, seed=1), _relative_noise(lap, stats, 0.5), seed=2
+    )
+    export_samples(replace(expected, grid_sha256=grid.sha256), tmp_path / "expected.csv")
+    for suffix in ("", ".meta.json"):
+        assert (tmp_path / f"noisy.csv{suffix}").read_bytes() == (
+            tmp_path / f"expected.csv{suffix}"
+        ).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["sweep", "threshold-sensitivity", "detect"])
@@ -446,7 +472,7 @@ def small(tmp_path_factory, workdir):
     [
         (["sample", "--sigma", "nan"], "per-bus variances must be positive"),
         (["sample", "--sigma-pq", "nan"], "per-bus injection block not positive definite"),
-        (["sample", "--noise", "nan"], "per-bus noise block not positive semidefinite"),
+        (["sample", "--noise", "nan"], "noise level must be nonnegative"),
         (["estimate", "--ridge", "nan"], "ridge must be nonnegative"),
         (["estimate", "--method", "glasso", "--lambda", "nan"], "penalty must be nonnegative"),
         (["estimate", "--method", "glasso", "--tol", "0"], "tol must be positive"),
@@ -463,6 +489,9 @@ def small(tmp_path_factory, workdir):
         (["gen-grid", "--x-range", "0,0.2"], "x_range must satisfy 0 < low <= high < inf"),
         (["sample", "--sigma", "inf"], "per-bus injection moments must be finite"),
         (["sample", "--noise", "-1"], "noise level must be nonnegative"),
+        (["sweep", "--tau1", "-1"], "thresholds tau1 and tau2 must be positive"),
+        (["sweep", "--lambda", "-1"], "lam and ridge must be nonnegative"),
+        (["estimate", "--method", "glasso", "--max-iter", "0"], "max_iter must be >= 1"),
     ],
 )
 def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):

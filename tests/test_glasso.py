@@ -158,7 +158,7 @@ class TestValidationAndErrors(InputLeg):
     def test_nonconvergence_reports_gap(self):
         cov = random_spd(6, seed=6)
         with pytest.raises(ConvergenceError) as excinfo:
-            self.fit(cov, 0.01, tol=1e-14, max_iter=0)
+            self.fit(cov, 0.01, tol=1e-14, max_iter=1)
         assert excinfo.value.gap is not None
 
     def test_zero_variance(self):

@@ -309,13 +309,17 @@ class TestNoise:
 
         assert np.array_equal(whole.samples, in_pieces(noisy))
 
-        # one seed for signal and noise: two factors, two cursor entries
-        w, v = np.linalg.eigh(noise.matrix)
-        reference = block_reference(transfer(lap, stats), 2) + block_reference(
-            v * np.sqrt(np.clip(w, 0.0, None)), 2
-        )
+        # noise on the signal's own seed would repeat its normals
+        with pytest.raises(ValidationError, match="equals the sample seed"):
+            add_noise(signal, noise, seed=2)
+
+        # two factors on one seed: two cursor entries, interleaved windows
+        signal_factor = sampler._sealed(transfer(lap, stats))
+        noise_factor = sampler._spectral_factor(noise.matrix)
+        reference = block_reference(signal_factor[0], 2) + block_reference(noise_factor[0], 2)
         assert_windows(
-            lambda n, offset: add_noise(sample_voltages(lap, stats, n, 2, offset), noise, 2).samples,
+            lambda n, offset: sampler._mapped_rows(2, offset, offset + n, *signal_factor)
+            + sampler._mapped_rows(2, offset, offset + n, *noise_factor),
             reference,
         )
 

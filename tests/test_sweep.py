@@ -37,17 +37,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="strictly increasing"):
             ExperimentConfig(grid=small_grid_path, sample_sizes=(100, 100))
 
-    def test_seeds_length(self, small_grid_path):
-        with pytest.raises(ValidationError, match="seeds"):
-            ExperimentConfig(
-                grid=small_grid_path, sample_sizes=(10,), repetitions=3, seeds=(1,)
-            )
-
     def test_unknown_key_rejected(self, small_grid_path):
         with pytest.raises(ValidationError, match="unknown config keys"):
             ExperimentConfig.from_dict({"grid": small_grid_path, "bogus": 1})
 
-    @pytest.mark.parametrize("bad", [{"seed": -1}, {"seeds": (0, -2), "repetitions": 2}])
+    @pytest.mark.parametrize("bad", [{"seed": -1}])
     def test_negative_seed_rejected(self, small_grid_path, bad):
         with pytest.raises(ValidationError, match="non-negative"):
             ExperimentConfig(grid=small_grid_path, sample_sizes=(10,), **bad)
@@ -76,9 +70,9 @@ class TestConfig:
 
     def test_from_dict_accepts_json_types(self):
         config = ExperimentConfig.from_dict(
-            {"grid": "g.json", "sample_sizes": [10, 20], "lam": 1, "seeds": None}
+            {"grid": "g.json", "sample_sizes": [10, 20], "lam": 1, "tau1": None}
         )
-        assert config.sample_sizes == (10, 20) and config.lam == 1
+        assert config.sample_sizes == (10, 20) and config.lam == 1 and config.tau1 is None
 
     def test_overrides_win(self, small_grid_path):
         config = ExperimentConfig.from_dict(
@@ -248,6 +242,19 @@ class TestThresholdSensitivity:
         result = threshold_sensitivity(config, (0.0,))
         errors = [row["error_ratio"] for row in result.rows]
         assert min(errors) > 0.0
+
+    def test_unit_multiplier_matches_run_sweep(self, small_grid_path):
+        # both sweeps score one estimate per cell at the same thresholds
+        config = ExperimentConfig(
+            grid=small_grid_path, sample_sizes=(400, 2000), repetitions=2, seed=3, noise=0.01
+        )
+        largest = [row for row in run_sweep(config).rows if row["sample_size"] == 2000]
+        scaled = threshold_sensitivity(config, (0.8, 1.0)).rows
+        unit = [row for row in scaled if row["tau_multiplier"] == 1.0]
+        pick = lambda rows: [
+            (r["repetition"], r["algorithm"], r["seed"], r["error_ratio"]) for r in rows
+        ]
+        assert len(unit) == 4 and pick(unit) == pick(largest)
 
     def test_needs_multipliers(self, small_grid_path):
         config = ExperimentConfig(grid=small_grid_path, sample_sizes=(500,))
