@@ -35,21 +35,22 @@ on small penalties (3.6 and 11 times the iterations at c = 0.1 and 0.02
 on 12 buses) and never converged on unstandardized voltage covariances.
 rho is internal: there is no argument or variable for it.
 
-Stop rule: every ``_CHECK_EVERY`` iterations the KKT residual of the
-sparse iterate Z (:func:`_kkt_residual`, the largest violation of
-``inv(Z) - cov = lam * G`` for a subgradient G of the penalty) is
-computed, and the solver stops once it is at most ``tol``. So ``tol``
-bounds stationarity of the returned estimate directly. The estimate is
-returned only after ``np.linalg.cholesky`` succeeds on it, so it is
-positive definite; otherwise :class:`NumericalError` is raised. Spending
-``max_iter`` iterations raises :class:`ConvergenceError` with the duality
-gap of the last iterate.
+Stop rule, owned by :func:`graphical_lasso` alone (:func:`_admm` runs
+a given number of iterations): after every chunk of ``_CHECK_EVERY``
+iterations the KKT residual of the sparse iterate Z (:func:`_kkt_residual`,
+the largest violation of ``inv(Z) - cov = lam * G`` for a subgradient G
+of the penalty) is computed, and the solver stops once it is at most
+``tol``. So ``tol`` bounds stationarity of the returned estimate
+directly. The estimate is returned only after ``np.linalg.cholesky``
+succeeds on it, so it is positive definite; otherwise
+:class:`NumericalError` is raised. Spending ``max_iter`` iterations
+raises :class:`ConvergenceError` with the duality gap of the last
+iterate; a tail of the budget shorter than a chunk runs unchecked.
 
 Newton finish (the active-set idea of QUIC, Hsieh et al., JMLR 2014):
-ADMM settles the sign pattern of Z long before it meets ``tol``. So ADMM
-runs in chunks of ``_CHECK_EVERY`` iterations, bit-identical to one long
-run, and at a check whose sign pattern equals that of the previous check
-and has not failed a finish before, :func:`_newton` takes up to
+ADMM settles the sign pattern of Z long before it meets ``tol``. So at
+a check whose sign pattern equals that of the previous check and has
+not failed a finish before, :func:`_newton` takes up to
 ``_NEWTON_STEPS`` full Newton steps on the face of that pattern (free
 entries: the diagonal and the support of Z, at their signs), where the
 objective is smooth. The finish stops as soon as the KKT residual is at
@@ -138,27 +139,16 @@ def _kkt_residual(cov: np.ndarray, precision: np.ndarray, lam: float) -> float:
 
 
 def _admm(
-    cov: np.ndarray,
-    lam: float,
-    rho: float,
-    z: np.ndarray,
-    u: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Run ADMM from the iterate ``z`` and scaled dual ``u``.
+    cov: np.ndarray, lam: float, rho: float, z: np.ndarray, u: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` ADMM iterations from the iterate ``z`` and scaled dual ``u``.
 
-    Stops at the first check where the KKT residual of ``z`` is at most
-    ``tol``, or after ``max_iter`` iterations. Returns the final ``z`` and
-    ``u``, the iterations run and the last residual checked (``inf`` if
-    none was); a residual above ``tol`` means the budget ran out. The
-    arrays passed in are not modified.
+    Returns the final ``z`` and ``u`` and modifies neither argument; the
+    driver, :func:`graphical_lasso`, does every check between calls.
     """
     p = cov.shape[0]
     threshold = (1.0 - np.eye(p)) * (lam / rho)
-    residual = np.inf
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for _ in range(steps):
         try:
             d, q = np.linalg.eigh(rho * (z - u) - cov)
         except np.linalg.LinAlgError as exc:
@@ -168,14 +158,7 @@ def _admm(
         v = _RELAX * theta + (1.0 - _RELAX) * z + u
         u = np.clip(v, -threshold, threshold)
         z = v - u
-        if iteration % _CHECK_EVERY == 0:
-            try:
-                residual = _kkt_residual(cov, z, lam)
-            except np.linalg.LinAlgError:
-                continue
-            if residual <= tol:
-                break
-    return z, u, iteration, residual
+    return z, u
 
 
 def _newton(
@@ -270,11 +253,15 @@ def graphical_lasso(
     previous, failed = None, set()
     while iterations < max_iter:
         chunk = min(_CHECK_EVERY, max_iter - iterations)
-        z, u, ran, checked = _admm(cov, lam, rho, z, u, tol, chunk)
-        iterations += ran
-        if np.isfinite(checked):
-            residual = checked
-        if residual <= tol or ran < _CHECK_EVERY:
+        z, u = _admm(cov, lam, rho, z, u, chunk)
+        iterations += chunk
+        if chunk < _CHECK_EVERY:
+            break  # the tail of the budget runs unchecked
+        try:
+            residual = _kkt_residual(cov, z, lam)
+        except np.linalg.LinAlgError:
+            pass  # Z is singular: keep the last residual
+        if residual <= tol:
             break
         pattern = np.sign(z).astype(np.int8).tobytes()
         if pattern == previous and pattern not in failed:

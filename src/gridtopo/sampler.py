@@ -583,7 +583,8 @@ def import_samples(
 
     Externally generated measurements carry an operating-point mean; the
     fluctuation convention removes it. ``difference=True`` instead takes
-    consecutive differences (for drifting operating points).
+    consecutive differences (for drifting operating points). A sidecar
+    restores the seed, offset (0 if it has none), grid hash and noise.
     """
     path = Path(path)
     try:
@@ -620,18 +621,20 @@ def import_samples(
     elif center:
         data -= data.mean(axis=0)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    seed = grid_hash = noise = None
+    seed, offset, grid_hash, noise = None, 0, None, None
     if meta_path.exists():
         try:
             with open(meta_path) as fh:
                 meta = json.load(fh)
             seed, grid_hash, noise = meta.get("seed"), meta.get("grid_sha256"), meta.get("noise")
+            offset = meta.get("offset", 0)
         except (OSError, json.JSONDecodeError, AttributeError) as exc:
             raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc
     return VoltageSampleSet(
         samples=data,
         bus_order=v_buses,
         seed=seed,
+        offset=offset,
         grid_sha256=grid_hash,
         noise=noise,
     )

@@ -23,7 +23,7 @@ import platform
 import time
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
 
@@ -75,6 +75,8 @@ ROW_FIELDS = (
 )
 # Thread-count variables of the common BLAS builds, recorded in meta.json.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The options each estimator takes; None leaves an option at its default.
+_ESTIMATOR_OPTIONS = {"direct": ("ridge",), "glasso": ("lam", "tol", "max_iter")}
 
 
 def _fits(value, hint) -> bool:
@@ -153,8 +155,9 @@ class ExperimentConfig(_Config):
             raise ValidationError("thresholds tau1 and tau2 must be positive")
         if not all(v is None or v >= 0 for v in (self.lam, self.ridge)):
             raise ValidationError("lam and ridge must be nonnegative")
-        if self.estimator not in ("direct", "glasso"):
+        if self.estimator not in _ESTIMATOR_OPTIONS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
+        _reject_ignored(self.estimator, lam=self.lam, ridge=self.ridge)
         for alg in self.algorithms:
             if alg not in ("neighborhood", "sign"):
                 raise ValidationError(f"unknown algorithm {alg!r}")
@@ -267,19 +270,31 @@ def _relative_noise(lap, stats: InjectionStatistics, level: float):
     return NoiseStatistics.relative(signal_var, level)
 
 
-def _estimate(lap, stats, noise, n, sample_seed, estimator="direct", lam=None, ridge=None):
-    """Samples, plus noise drawn from ``sample_seed + 1`` when ``noise`` is
-    set, then the concentration matrix of their covariance."""
-    samples = sample_voltages(lap, stats, n, sample_seed)
+def _sample(lap, stats, noise, n, seed, offset=0):
+    """Rows [offset, offset + n) of ``seed``'s samples, plus noise drawn
+    from ``seed + 1`` when ``noise`` is set."""
+    samples = sample_voltages(lap, stats, n, seed, offset=offset)
     if noise is not None:
-        samples = add_noise(samples, noise, sample_seed + 1)
-    return _concentration(sample_covariance(samples), n, lap.bus_order, estimator, lam, ridge)
+        samples = add_noise(samples, noise, seed + 1)
+    return samples
 
 
-def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, **fit):
-    """Concentration matrix of the covariance of ``n`` samples, by direct
-    inversion or by the graphical lasso on the standardized covariance;
-    ``fit`` (``tol``, ``max_iter``) goes to the graphical lasso only."""
+def _reject_ignored(estimator, **options):
+    """Raise ValidationError on a non-None option that ``estimator`` does not take."""
+    taken = _ESTIMATOR_OPTIONS[estimator]
+    ignored = [k for k, v in options.items() if v is not None and k not in taken]
+    if ignored:
+        raise ValidationError(f"the {estimator} estimator does not take {', '.join(ignored)}")
+
+
+def _concentration(samples, estimator="direct", lam=None, ridge=None, **fit):
+    """Concentration matrix of the samples' covariance, by direct inversion
+    or by the graphical lasso on the standardized covariance; ``fit``
+    (``tol``, ``max_iter``) goes to the graphical lasso. Options left at
+    None take the estimator's defaults."""
+    _reject_ignored(estimator, lam=lam, ridge=ridge, **fit)
+    fit = {k: v for k, v in fit.items() if v is not None}
+    cov, n, bus_order = sample_covariance(samples), samples.n, samples.bus_order
     if estimator == "glasso":
         lam = lam if lam is not None else glasso.default_lambda(n, cov.shape[0])
         # The penalty rate presumes standardized variables: solve on
@@ -289,12 +304,8 @@ def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, 
             raise NumericalError("degenerate sample variance")
         corr = cov / np.outer(scale, scale)
         result = glasso.graphical_lasso(corr, lam, bus_order=bus_order, **fit)
-        return ConcentrationMatrix(
-            j=result.j / np.outer(scale, scale),
-            bus_order=bus_order,
-            provenance="graphical_lasso",
-            meta={**result.meta, "standardized": True},
-        )
+        meta = {**result.meta, "standardized": True}
+        return replace(result, j=result.j / np.outer(scale, scale), meta=meta)
     ridge = ridge if ridge is not None else default_ridge(cov, n)
     return direct_concentration(cov, ridge, bus_order=bus_order)
 
@@ -347,9 +358,8 @@ class _SweepContext:
 
     def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
         c = self.config
-        return _estimate(
-            self.lap, self.stats, self.noise, n, sample_seed, c.estimator, c.lam, c.ridge
-        )
+        samples = _sample(self.lap, self.stats, self.noise, n, sample_seed)
+        return _concentration(samples, c.estimator, c.lam, c.ridge)
 
 
 def _scored_cells(config: ExperimentConfig, n_indices, multipliers):
@@ -488,8 +498,8 @@ def detect_sweep(config: DetectConfig):
 
     def detect_cell(n, s_before, s_after):
         return detect_change(
-            _estimate(lap_before, stats, noise, n, s_before),
-            _estimate(lap_after, stats, noise, n, s_after),
+            _concentration(_sample(lap_before, stats, noise, n, s_before)),
+            _concentration(_sample(lap_after, stats, noise, n, s_after)),
             tau3,
         )
 

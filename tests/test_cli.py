@@ -14,9 +14,10 @@ from gridtopo.sampler import InjectionStatistics, add_noise, export_samples, sam
 from gridtopo.sweep import (
     DetectConfig,
     ExperimentConfig,
-    _estimate,
+    _concentration,
     _injection_stats,
     _relative_noise,
+    _sample,
 )
 
 
@@ -404,7 +405,8 @@ def test_estimate_glasso_standardizes_like_the_sweep(tmp_path):
     assert meta["standardized"] is True
     grid = load_grid(grid_path)
     lap = reduced_laplacians(grid)
-    expected = _estimate(lap, _injection_stats(grid, 1e-2, 0.0), None, 200, 5, "glasso").j
+    samples = _sample(lap, _injection_stats(grid, 1e-2, 0.0), None, 200, 5)
+    expected = _concentration(samples, "glasso").j
     got = import_concentration(conc).j
     off = ~np.eye(len(got), dtype=bool)
     assert np.count_nonzero(expected[off]) > 0
@@ -505,6 +507,33 @@ def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, me
         "sweep": ["--grid", grid, "--n", "100", "--reps", "1"],
         "threshold-sensitivity": ["--grid", grid, "--n", "100", "--reps", "1"],
         "gen-grid": ["--kind", "tree", "--buses", "6"],
+    }
+    out = tmp_path / "out"
+    code = main([args[0], *inputs[args[0]], *args[1:], "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--lambda", "5"], "the direct estimator does not take lam"),
+        (["estimate", "--lambda", "0.1"], "the direct estimator does not take lam"),
+        (
+            ["estimate", "--tol", "-5", "--max-iter", "0"],
+            "the direct estimator does not take tol, max_iter",
+        ),
+        (
+            ["estimate", "--method", "glasso", "--ridge", "0.1"],
+            "the glasso estimator does not take ridge",
+        ),
+    ],
+)
+def test_ignored_estimator_option_exit_code(workdir, small, tmp_path, capsys, args, message):
+    inputs = {
+        "estimate": ["--samples", str(small / "s.csv")],
+        "sweep": ["--grid", str(workdir / "grid.json"), "--n", "100", "--reps", "1"],
     }
     out = tmp_path / "out"
     code = main([args[0], *inputs[args[0]], *args[1:], "--out", str(out)])

@@ -29,6 +29,18 @@ def random_spd(dim, seed, n_factor=8):
     return x.T @ x / (n_factor * dim)
 
 
+def admm_until(cov, lam, rho, z, u, tol, residual):
+    """``_admm`` in chunks of ``_CHECK_EVERY`` until ``residual(z)`` is at
+    most ``tol``: the solver's stop rule without the Newton finish.
+    Returns ``z``, ``u``, the iterations run and the last residual."""
+    for iterations in range(glasso._CHECK_EVERY, 10_000, glasso._CHECK_EVERY):
+        z, u = _admm(cov, lam, rho, z, u, glasso._CHECK_EVERY)
+        checked = residual(z)
+        if checked <= tol:
+            return z, u, iterations, checked
+    raise AssertionError("ADMM did not reach tol in 10000 iterations")
+
+
 class InputLeg:
     """Runs a solver test class on one form of the covariance argument.
 
@@ -161,6 +173,19 @@ class TestValidationAndErrors(InputLeg):
             self.fit(cov, 0.01, tol=1e-14, max_iter=1)
         assert excinfo.value.gap is not None
 
+    def test_budget_tail_runs_unchecked(self):
+        # A budget of 7 is one checked chunk of 5 and an unchecked tail of 2.
+        cov, lam = random_spd(6, seed=6), 0.01
+        rho = self.fit(cov, lam).meta["rho"]
+        with pytest.raises(ConvergenceError) as excinfo:
+            self.fit(cov, lam, tol=1e-14, max_iter=7)
+        start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
+        checked, _ = _admm(cov, lam, rho, *start, 5)
+        z, _ = _admm(cov, lam, rho, *start, 7)
+        assert excinfo.value.iterations == 7
+        assert excinfo.value.gap == glasso._dual_gap(cov, z, lam)
+        assert f"KKT residual {glasso._kkt_residual(cov, checked, lam):.3e}," in str(excinfo.value)
+
     def test_zero_variance(self):
         cov = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(NumericalError, match="zero variance"):
@@ -217,7 +242,7 @@ class TestNewtonFinish:
 
     def plain_admm(self, cov, lam, rho, tol):
         start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
-        return _admm(cov, lam, rho, *start, tol, 10_000)
+        return admm_until(cov, lam, rho, *start, tol, lambda z: glasso._kkt_residual(cov, z, lam))
 
     @pytest.mark.parametrize("c", [0.5, 0.1])
     def test_fewer_iterations_same_optimum(self, c):
@@ -314,27 +339,33 @@ class TestPythonKernel:
     def test_matches_reference(self, seed, lam, warm):
         cov, z0, u0 = admm_problem(seed, warm)
         rho = admm_rho(cov, lam)
-        tol = 1e-9
-        z, u, iterations, residual = _admm(cov, lam, rho, z0, u0, tol, 10_000)
-        assert iterations < 10_000
-        assert residual <= tol
-        assert glasso_kkt_residual(z, cov, lam) <= tol
+        # ADMM alone reaches tol, by the oracle's residual.
+        z, u, iterations, _ = admm_until(
+            cov, lam, rho, z0, u0, 1e-9, lambda z: glasso_kkt_residual(z, cov, lam)
+        )
         z_ref, u_ref = reference_admm_glasso(cov, lam, rho, z0, u0, iterations)
         assert_close(z, z_ref)
         assert_close(u, u_ref)
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 3])
-    def test_matches_reference_when_capped(self, max_iter):
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_matches_reference_when_capped(self, steps):
         cov, z0, u0 = admm_problem(21, warm=True)
         before = z0.copy(), u0.copy()
         rho = admm_rho(cov, 1e-3)
-        z, u, iterations, residual = _admm(cov, 1e-3, rho, z0, u0, 1e-12, max_iter)
-        assert iterations == max_iter
-        assert residual == np.inf
-        z_ref, u_ref = reference_admm_glasso(cov, 1e-3, rho, z0, u0, max_iter)
+        z, u = _admm(cov, 1e-3, rho, z0, u0, steps)
+        z_ref, u_ref = reference_admm_glasso(cov, 1e-3, rho, z0, u0, steps)
         assert_close(z, z_ref)
         assert_close(u, u_ref)
         assert np.array_equal(z0, before[0]) and np.array_equal(u0, before[1])
+
+    @pytest.mark.parametrize("first, second", [(5, 5), (3, 4), (0, 7)])
+    def test_chunks_compose(self, first, second):
+        # The solver's chunked driver relies on this, bit for bit.
+        cov, z0, u0 = admm_problem(5, warm=True)
+        rho = admm_rho(cov, 1e-3)
+        z, u = _admm(cov, 1e-3, rho, *_admm(cov, 1e-3, rho, z0, u0, first), second)
+        z_once, u_once = _admm(cov, 1e-3, rho, z0, u0, first + second)
+        assert np.array_equal(z, z_once) and np.array_equal(u, u_once)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_diagonal(self, bad, monkeypatch):

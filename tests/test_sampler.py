@@ -564,14 +564,14 @@ class TestCorrelatedStats:
 class TestImportExport:
     def test_roundtrip_exact(self, tmp_path, path3):
         lap = reduced_laplacians(path3)
-        samples = sample_voltages(lap, InjectionStatistics.uniform(2), 3, seed=1)
+        samples = sample_voltages(lap, InjectionStatistics.uniform(2), 3, seed=1, offset=4096)
         path = tmp_path / "samples.csv"
         export_samples(samples, path)
         loaded = import_samples(path, center=False)
         assert loaded.n == 3
         assert np.array_equal(loaded.samples, samples.samples)
         assert loaded.bus_order == samples.bus_order
-        assert loaded.seed == 1
+        assert loaded.seed == 1 and loaded.offset == 4096
 
     def test_centering_default(self, tmp_path, path3):
         lap = reduced_laplacians(path3)

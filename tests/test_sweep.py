@@ -70,9 +70,20 @@ class TestConfig:
 
     def test_from_dict_accepts_json_types(self):
         config = ExperimentConfig.from_dict(
-            {"grid": "g.json", "sample_sizes": [10, 20], "lam": 1, "tau1": None}
+            {
+                "grid": "g.json",
+                "sample_sizes": [10, 20],
+                "estimator": "glasso",
+                "lam": 1,
+                "tau1": None,
+            }
         )
         assert config.sample_sizes == (10, 20) and config.lam == 1 and config.tau1 is None
+
+    def test_ridge_rejected_with_glasso(self):
+        # No sweep flag sets ridge; a config file can.
+        with pytest.raises(ValidationError, match="the glasso estimator does not take ridge"):
+            ExperimentConfig(grid="g.json", estimator="glasso", ridge=0.1)
 
     def test_overrides_win(self, small_grid_path):
         config = ExperimentConfig.from_dict(

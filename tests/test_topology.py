@@ -23,7 +23,7 @@ from gridtopo.grid import (
     structure_report,
 )
 from gridtopo.sampler import InjectionStatistics, sample_voltages
-from gridtopo.sweep import _estimate
+from gridtopo.sweep import _concentration, _sample
 from gridtopo.topology import (
     NON_LEAF,
     UNRESOLVED,
@@ -324,7 +324,7 @@ class TestUnsortedBusOrder:
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
     def test_learner_edges_match_brute_force(self, grid, n, scale):
         lap, stats, analytic = analytic_for(grid, random_stats(grid.n, seed=4))
-        conc = analytic if n is None else _estimate(lap, stats, None, n, 11)
+        conc = analytic if n is None else _concentration(_sample(lap, stats, None, n, 11))
         order = conc.bus_order
         gamma1, gamma2 = gamma_thresholds(analytic)
         tau1, tau2 = gamma1 * scale, gamma2 * scale
