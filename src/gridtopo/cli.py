@@ -122,19 +122,19 @@ def cmd_estimate(args) -> int:
 def cmd_learn(args) -> int:
     conc = import_concentration(args.concentration)
     truth = load_grid(args.truth) if args.truth else None
-    tau1, tau2 = args.tau1, args.tau2
-    if truth is not None and (tau1 is None or tau2 is None):
-        half1, half2 = _half_gamma(truth, args.sigma, args.sigma_pq)
-        tau1 = half1 if tau1 is None else tau1
-        tau2 = half2 if tau2 is None else tau2
-    # Without a threshold, cut at the largest gap of the off-diagonal statistic.
-    off = ~np.eye(conc.n, dtype=bool)
-    if args.alg == "neighborhood" and tau1 is None:
-        tau1 = threshold_by_gap(conc.j_vv[off])
-    if args.alg == "sign" and tau2 is None:
-        s = conc.sign_sum()[off]
-        tau2 = threshold_by_gap(-s[s < 0])
-    estimate = _learn(conc, args.alg, tau1, tau2)
+    neighborhood = args.alg == "neighborhood"
+    tau = args.tau
+    if tau is None and truth is not None:
+        tau = _half_gamma(truth, args.sigma, args.sigma_pq)[0 if neighborhood else 1]
+    if tau is None:
+        # Cut at the largest gap of the off-diagonal statistic.
+        off = ~np.eye(conc.n, dtype=bool)
+        if neighborhood:
+            tau = threshold_by_gap(conc.j_vv[off])
+        else:
+            s = conc.sign_sum()[off]
+            tau = threshold_by_gap(-s[s < 0])
+    estimate = _learn(conc, args.alg, tau, tau)
     error = score(estimate, truth) if truth is not None else None
     export_estimate(estimate, args.out, error=error)
     msg = f"wrote {args.out}: {len(estimate.edges)} edges"
@@ -234,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="recover topology from a concentration matrix")
     p.add_argument("--concentration", required=True)
     p.add_argument("--alg", choices=("neighborhood", "sign"), required=True)
-    p.add_argument("--tau1", type=float, default=None)
-    p.add_argument("--tau2", type=float, default=None)
+    p.add_argument("--tau", type=float, default=None, help="threshold of the chosen algorithm")
     p.add_argument("--truth", default=None, help="grid file for scoring and default thresholds")
     p.add_argument("--sigma", type=float, default=1e-2)
     p.add_argument("--sigma-pq", type=float, default=0.0)

@@ -22,9 +22,11 @@ Since H couples a bus only to its neighbors, entries vanish beyond two
 hops: the support of the concentration matrix is the grid plus its
 two-hop pairs, which is what the topology algorithms exploit.
 
-Every inversion here goes through :func:`_spd_inverse` and so through the
-one conditioning rule of :mod:`gridtopo.sampler` (all eigenvalues positive,
-max <= ``COND_LIMIT`` * min), or raises :class:`NumericalError`.
+Every inversion here goes through :func:`gridtopo.sampler._spd_inverse`
+and so through the one conditioning rule of :mod:`gridtopo.sampler` (all
+eigenvalues positive, max <= ``COND_LIMIT`` * min), or raises
+:class:`NumericalError`; every input matrix passes the one symmetric-input
+check, :func:`gridtopo.sampler._symmetric`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .sampler import (
     NoiseStatistics,
     VoltageSampleSet,
     _composite_spectrum,
-    _require_conditioned,
+    _spd_inverse,
+    _symmetric,
     analytic_voltage_covariance,
 )
 
@@ -85,11 +88,7 @@ class ConcentrationMatrix:
         n = len(self.bus_order)
         if j.shape != (2 * n, 2 * n):
             raise ValidationError("concentration matrix must be 2N x 2N")
-        if not np.all(np.isfinite(j)):
-            raise ValidationError("concentration matrix has non-finite entries")
-        if not np.allclose(j, j.T, atol=1e-8 * max(1.0, float(np.abs(j).max()))):
-            raise ValidationError("concentration matrix must be symmetric")
-        object.__setattr__(self, "j", (j + j.T) / 2)
+        object.__setattr__(self, "j", _symmetric(j, "concentration matrix"))
         self.j.setflags(write=False)
 
     @property
@@ -144,27 +143,6 @@ def default_ridge(cov: np.ndarray, n_samples: int) -> float:
     return 1e-8 * float(np.trace(cov)) / dim
 
 
-def _symmetric_check(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError("covariance must be square")
-    if not np.all(np.isfinite(cov)):
-        raise ValidationError("covariance has non-finite entries")
-    if not np.allclose(cov, cov.T, atol=1e-8 * max(1.0, float(np.abs(cov).max()))):
-        raise ValidationError("covariance must be symmetric")
-    return (cov + cov.T) / 2
-
-
-def _spd_inverse(a: np.ndarray, message: str, eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized inverse of ``a`` once it passes the conditioning rule;
-    ``eigenvalues`` spares the decomposition when the caller has it."""
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(a)
-    _require_conditioned(eigenvalues, message)
-    inv = np.linalg.inv(a)
-    return (inv + inv.T) / 2
-
-
 def direct_concentration(
     cov: np.ndarray,
     ridge: float = 0.0,
@@ -175,9 +153,9 @@ def direct_concentration(
     Fails with :class:`NumericalError` when the (possibly ridged) matrix
     breaks the conditioning rule (module docstring).
     """
-    cov = _symmetric_check(cov)
-    if not ridge >= 0:
-        raise ValidationError("ridge must be nonnegative")
+    cov = _symmetric(cov, "covariance")
+    if not 0 <= ridge < np.inf:
+        raise ValidationError("ridge must be nonnegative and finite")
     j = _spd_inverse(
         cov + ridge * np.eye(cov.shape[0]),
         "covariance numerically singular; increase ridge or the sample count",

@@ -85,8 +85,8 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .estimator import ConcentrationMatrix, _symmetric_check
-from .sampler import _require_conditioned
+from .estimator import ConcentrationMatrix
+from .sampler import _require_conditioned, _symmetric
 
 __all__ = ["graphical_lasso", "glasso_objective", "default_lambda", "active_kernel"]
 
@@ -218,8 +218,8 @@ def graphical_lasso(
     ----------
     cov : symmetric positive-semidefinite matrix with a positive
         diagonal. Must be nonsingular when ``lam`` is zero.
-    lam : nonnegative off-diagonal l1 penalty.
-    tol : positive bound on the KKT residual of the returned estimate;
+    lam : nonnegative, finite off-diagonal l1 penalty.
+    tol : positive, finite bound on the KKT residual of the returned estimate;
         iteration stops as soon as the residual is at most ``tol``.
     max_iter : ADMM iteration budget; spending it raises
         :class:`ConvergenceError` carrying the final duality gap.
@@ -227,11 +227,11 @@ def graphical_lasso(
     Returns a positive-definite :class:`ConcentrationMatrix` with
     provenance ``graphical_lasso`` and fit diagnostics in ``meta``.
     """
-    cov = _symmetric_check(cov)
-    if not lam >= 0:
-        raise ValidationError("penalty must be nonnegative")
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    cov = _symmetric(cov, "covariance")
+    if not 0 <= lam < np.inf:
+        raise ValidationError("penalty must be nonnegative and finite")
+    if not 0 < tol < np.inf:
+        raise ValidationError("tol must be positive and finite")
     if max_iter < 1:
         raise ValidationError("max_iter must be >= 1")
     p = cov.shape[0]

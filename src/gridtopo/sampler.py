@@ -6,10 +6,14 @@ same bus may correlate). Each stacked injection draw (p, q) is mapped to
 stacked voltages (v, theta) by solving the composite Laplacian system,
 optionally followed by additive Gaussian measurement noise.
 
-Conditioning: every matrix the package inverts first passes one rule,
+Matrix rules: every symmetric matrix the package accepts passes
+:func:`_symmetric` (square, finite, symmetric within tolerance, then
+symmetrized), and every matrix it inverts goes through
+:func:`_spd_inverse` and so through one conditioning rule,
 :func:`_require_conditioned` (all eigenvalues positive, the largest at
 most ``COND_LIMIT`` = 1e12 times the smallest), or raises
-:class:`NumericalError` (cli exit 3).
+:class:`NumericalError` (cli exit 3). The glasso iterates are the only
+other inversions.
 
 Reproducibility contract: the random stream for a seed is defined in
 fixed blocks of ``_BLOCK`` rows of standard normals, each produced by a
@@ -38,25 +42,27 @@ Cursor: a standard normal uses a varying number of Philox outputs, so a
 window starting inside a block must first draw the block's earlier rows.
 To spare consecutive windows that work, ``_mapped_rows`` keeps a
 process-local cursor of at most ``_CURSOR_SIZE`` entries, keyed by the
-seed and the factor (shape and a 16-byte blake2b digest), so the streams
-of two factors on one seed do not share an entry. An entry
-holds the block and row at which the last call on that key stopped and
-the Philox state there, all as Python ints: arrays kept across calls
+seed and the width (the factor's column count, the normals per row). An
+entry holds the block and row at which the last call on that key stopped
+and the Philox state there, all as Python ints: arrays kept across calls
 stopped the heap from shrinking and raised peak memory. A call that
 starts in that block at or after that row resumes from the saved state
-instead of redrawing from the block's first row. The state at a row is a
-function of (seed, block, row, width) alone, so the cursor saves work
-and never changes a value; entries are read and written under a lock,
-and the least recently written entry is dropped first.
+instead of redrawing from the block's first row. The state after r rows
+of width w in block b is a function of (seed, b, r, w) alone, because a
+Philox stream position depends only on its key and counter; the factor
+only multiplies the normals afterwards and never enters the stream. So
+two factors of one width on one seed share an entry, and the cursor
+saves work and never changes a value. Entries are read and written under
+a lock, and the least recently written entry is dropped first.
 
 Transfer memo: the per-grid work of a draw is done once and kept on the
 frozen input it belongs to, through :func:`_memoized`. A
 :class:`LaplacianPair` keeps ``|eigenvalues|`` of H, which the
 conditioning rule and the noise bound read, and the transfer matrix T
-with its digest together with the :class:`InjectionStatistics` object it
-was made for; a later call with that same object reuses T, and a call
-with another object replaces it. A :class:`NoiseStatistics` keeps its
-spectral factor and digest. Both inputs are frozen and write-protect
+together with the :class:`InjectionStatistics` object it was made for; a
+later call with that same object reuses T, and a call with another
+object replaces it. A :class:`NoiseStatistics` keeps its spectral
+factor. Both factors are read-only. Both inputs are frozen and write-protect
 their arrays, so a kept value is the one a fresh call would compute: the
 memo saves work and never changes a value. It is stored only after every
 check passes, so an ill-conditioned H raises on every call. It lives and
@@ -68,7 +74,6 @@ solved in ``_transfer`` alone.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import threading
 from collections import OrderedDict
@@ -112,6 +117,30 @@ def _require_conditioned(eigenvalues: np.ndarray, message: str) -> None:
         )
 
 
+def _spd_inverse(a: np.ndarray, message: str, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrized inverse of ``a`` once it passes the conditioning rule;
+    ``eigenvalues`` spares the decomposition when the caller has it."""
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(a)
+    _require_conditioned(eigenvalues, message)
+    inv = np.linalg.inv(a)
+    return (inv + inv.T) / 2
+
+
+def _symmetric(matrix, what: str, rel: float = 1e-8) -> np.ndarray:
+    """``matrix`` as a symmetrized float array once it is square, finite and
+    symmetric within ``rel * max(1, max|matrix|)``; otherwise
+    :class:`ValidationError` naming ``what``."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{what} must be square")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} has non-finite entries")
+    if not np.allclose(m, m.T, atol=rel * max(1.0, float(np.abs(m).max()))):
+        raise ValidationError(f"{what} must be symmetric")
+    return (m + m.T) / 2
+
+
 @dataclass(frozen=True)
 class InjectionStatistics:
     """Per-bus injection second moments, optionally with cross-bus terms.
@@ -149,10 +178,7 @@ class InjectionStatistics:
             n = 2 * len(pp)
             if delta.shape != (n, n):
                 raise ValidationError("precision perturbation must be 2N x 2N")
-            if not np.all(np.isfinite(delta)):
-                raise ValidationError("precision perturbation must be finite")
-            if not np.allclose(delta, delta.T, atol=1e-12):
-                raise ValidationError("precision perturbation must be symmetric")
+            delta = _symmetric(delta, "precision perturbation", 1e-12)
             object.__setattr__(self, "precision_perturbation", delta)
             if np.linalg.eigvalsh(self.precision())[0] <= 0:
                 raise ValidationError("perturbed injection precision not positive definite")
@@ -179,15 +205,6 @@ class InjectionStatistics:
         """Per-bus block determinants sigma_pp*sigma_qq - sigma_pq^2."""
         return self.sigma_pp * self.sigma_qq - self.sigma_pq**2
 
-    def block_covariance(self) -> np.ndarray:
-        """2N x 2N covariance of (p, q) ignoring the perturbation."""
-        return np.block(
-            [
-                [np.diag(self.sigma_pp), np.diag(self.sigma_pq)],
-                [np.diag(self.sigma_pq), np.diag(self.sigma_qq)],
-            ]
-        )
-
     def block_precision(self) -> np.ndarray:
         d = self.determinants
         return np.block(
@@ -204,10 +221,12 @@ class InjectionStatistics:
         return prec
 
     def covariance(self) -> np.ndarray:
+        """2N x 2N covariance of (p, q): the per-bus blocks, or the inverse
+        of the perturbed precision under the conditioning rule."""
         if self.precision_perturbation is None:
-            return self.block_covariance()
-        cov = np.linalg.inv(self.precision())
-        return (cov + cov.T) / 2
+            pp, qq, pq = map(np.diag, (self.sigma_pp, self.sigma_qq, self.sigma_pq))
+            return np.block([[pp, pq], [pq, qq]])
+        return _spd_inverse(self.precision(), "injection precision numerically singular")
 
 
 @dataclass(frozen=True)
@@ -220,14 +239,9 @@ class NoiseStatistics:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        m = _symmetric(self.matrix, "noise covariance", 1e-12)
+        if m.shape[0] % 2:
             raise ValidationError("noise covariance must be square with even size")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("noise covariance must be finite")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValidationError("noise covariance must be symmetric")
-        m = (m + m.T) / 2
         w = np.linalg.eigvalsh(m)
         if w[0] < -1e-12 * max(w[-1], 1.0):
             raise ValidationError("noise covariance not positive semidefinite")
@@ -284,7 +298,8 @@ class NoiseStatistics:
 
 @dataclass(frozen=True)
 class VoltageSampleSet:
-    """n x 2N fluctuation samples, columns [v_1..v_N, theta_1..theta_N]."""
+    """n x 2N fluctuation samples, columns [v_1..v_N, theta_1..theta_N],
+    from row ``offset`` (a non-negative int) of the seed's stream."""
 
     samples: np.ndarray
     bus_order: tuple[str, ...]
@@ -297,6 +312,8 @@ class VoltageSampleSet:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 2 * len(self.bus_order):
             raise ValidationError("sample matrix must be n x 2N for the bus order")
+        if type(self.offset) is not int or self.offset < 0:
+            raise ValidationError(f"offset must be a non-negative int: {self.offset!r}")
         object.__setattr__(self, "samples", s)
         s.setflags(write=False)
 
@@ -355,23 +372,20 @@ def _memoized(owner, name: str, key, compute, *args):
     return value
 
 
-def _sealed(factor: np.ndarray) -> tuple[np.ndarray, bytes]:
-    """``factor`` made read-only, with the 16-byte blake2b digest that keys
-    its cursor entries."""
+def _sealed(factor: np.ndarray) -> np.ndarray:
+    """``factor`` made read-only."""
     factor.setflags(write=False)
-    return factor, hashlib.blake2b(factor.tobytes(), digest_size=16).digest()
+    return factor
 
 
-def _mapped_rows(
-    seed: int, start: int, stop: int, factor: np.ndarray, digest: bytes
-) -> np.ndarray:
+def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.ndarray:
     """Rows [start, stop) of the seed's standard-normal stream times ``factor.T``.
 
-    ``digest`` is the factor's from :func:`_sealed`. Chunks and the cursor
-    are described in the module docstring. The result is column-major,
-    which the covariance's column reductions read fastest.
+    Chunks and the cursor are described in the module docstring. The
+    result is column-major, which the covariance's column reductions read
+    fastest.
     """
-    key = (seed, factor.shape, digest)
+    key = (seed, factor.shape[1])
     with _cursor_lock:
         saved = _cursor.get(key)
     out = np.empty((factor.shape[0], stop - start))
@@ -422,8 +436,8 @@ def _composite_spectrum(lap: LaplacianPair) -> np.ndarray:
     return _memoized(lap, "_spectrum_memo", None, _abs_eigenvalues, lap.composite)
 
 
-def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> tuple[np.ndarray, bytes]:
-    """The checked transfer matrix T = H^-1 L and its digest."""
+def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
+    """The checked, read-only transfer matrix T = H^-1 L."""
     _require_conditioned(_composite_spectrum(lap), "composite Laplacian numerically singular")
     try:
         chol = np.linalg.cholesky(stats.covariance())
@@ -432,7 +446,7 @@ def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> tuple[np.ndarra
     return _sealed(np.linalg.solve(lap.composite, chol))
 
 
-def _spectral_factor(matrix: np.ndarray) -> tuple[np.ndarray, bytes]:
+def _spectral_factor(matrix: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(matrix)
     return _sealed(v * np.sqrt(np.clip(w, 0.0, None)))
 
@@ -457,7 +471,7 @@ def sample_voltages(
         raise ValidationError("statistics and Laplacians disagree on bus count")
     transfer = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
     return VoltageSampleSet(
-        samples=_mapped_rows(seed, offset, offset + n, *transfer),
+        samples=_mapped_rows(seed, offset, offset + n, transfer),
         bus_order=laplacians.bus_order,
         seed=seed,
         offset=offset,
@@ -491,7 +505,7 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     if noise.is_zero:
         return replace(samples, noise=descriptor)
     factor = _memoized(noise, "_factor_memo", None, _spectral_factor, noise.matrix)
-    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, *factor)
+    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, factor)
     noisy += samples.samples
     return replace(samples, samples=noisy, noise=descriptor)
 
@@ -505,7 +519,7 @@ def analytic_voltage_covariance(
     ``inv(H) @ Sigma @ inv(H)``."""
     if stats.n != laplacians.n:
         raise ValidationError("statistics and Laplacians disagree on bus count")
-    t, _ = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
+    t = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
     return t @ t.T
 
 
@@ -621,20 +635,19 @@ def import_samples(
     elif center:
         data -= data.mean(axis=0)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
-    seed, offset, grid_hash, noise = None, 0, None, None
-    if meta_path.exists():
-        try:
+    # The header fixed the shape, so only the sidecar's fields can fail here.
+    try:
+        meta = {}
+        if meta_path.exists():
             with open(meta_path) as fh:
                 meta = json.load(fh)
-            seed, grid_hash, noise = meta.get("seed"), meta.get("grid_sha256"), meta.get("noise")
-            offset = meta.get("offset", 0)
-        except (OSError, json.JSONDecodeError, AttributeError) as exc:
-            raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc
-    return VoltageSampleSet(
-        samples=data,
-        bus_order=v_buses,
-        seed=seed,
-        offset=offset,
-        grid_sha256=grid_hash,
-        noise=noise,
-    )
+        return VoltageSampleSet(
+            samples=data,
+            bus_order=v_buses,
+            seed=meta.get("seed"),
+            offset=meta.get("offset", 0),
+            grid_sha256=meta.get("grid_sha256"),
+            noise=meta.get("noise"),
+        )
+    except (OSError, json.JSONDecodeError, AttributeError, ValidationError) as exc:
+        raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc

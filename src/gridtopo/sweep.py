@@ -153,8 +153,8 @@ class ExperimentConfig(_Config):
         # NaN fails both comparisons, so it is out of range too.
         if not all(tau is None or tau > 0 for tau in (self.tau1, self.tau2)):
             raise ValidationError("thresholds tau1 and tau2 must be positive")
-        if not all(v is None or v >= 0 for v in (self.lam, self.ridge)):
-            raise ValidationError("lam and ridge must be nonnegative")
+        if not all(v is None or 0 <= v < np.inf for v in (self.lam, self.ridge)):
+            raise ValidationError("lam and ridge must be nonnegative and finite")
         if self.estimator not in _ESTIMATOR_OPTIONS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         _reject_ignored(self.estimator, lam=self.lam, ridge=self.ridge)

@@ -123,6 +123,34 @@ def test_sample_ill_conditioned_grid_exit_code(ill_conditioned3, tmp_path, capsy
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sample_ill_conditioned_injection_precision_exit_code(tmp_path, capsys):
+    # line-correlated injections whose precision has condition number 2.1e13
+    grid = tmp_path / "grid.json"
+    assert main([
+        "gen-grid", "--kind", "meshed", "--buses", "14", "--loops", "1",
+        "--min-cycle", "5", "--seed", "2", "--out", str(grid),
+    ]) == 0
+    code = main([
+        "sample", "--grid", str(grid), "--n", "1000", "--epsilon", "0.4474424631226931",
+        "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "injection precision numerically singular" in err and "eigenvalue range" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_learn_takes_one_threshold(workdir, small, tmp_path):
+    learn = ["learn", "--concentration", str(small / "c.csv")]
+    for alg, key in (("sign", "tau2"), ("neighborhood", "tau1")):
+        out = tmp_path / f"{alg}.json"
+        assert main([*learn, "--alg", alg, "--tau", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["thresholds"] == {key: 5.0}
+    # one run learns with one algorithm, so there is no second threshold flag
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*learn, "--alg", "sign", "--tau1", "5", "--out", "x"])
+
+
 def test_estimate_glasso_small_penalty(tmp_path, capsys):
     # Block coordinate descent lost positive definiteness on this input
     # (exit 3); the solver's own iteration budget must apply, not a copy.
@@ -376,6 +404,11 @@ def test_threshold_sensitivity_records_failing_cells(workdir, tmp_path):
         (["detect", "--before", "GRID"], None, "missing config keys: ['after']"),
         (["sweep", "--grid", "GRID"], {"repetitions": "2"}, "'repetitions' must be int"),
         (["sweep", "--grid", "GRID"], [1, 2], "must hold a JSON object"),
+        (
+            ["sweep", "--grid", "GRID"],
+            {"ridge": float("inf")},
+            "lam and ridge must be nonnegative and finite",
+        ),
     ],
 )
 def test_config_error_exit_code(workdir, tmp_path, capsys, args, config, message):
@@ -435,6 +468,11 @@ def test_sweep_flags_set_config_fields():
         ("learn", {"provenance": "direct"}),
         ("learn", "{not json"),
         ("estimate", "{not json"),
+        ("estimate", {"offset": -5}),
+        ("estimate", {"offset": 2.5}),
+        ("estimate", {"offset": "x"}),
+        ("estimate", {"offset": None}),
+        ("estimate", {"offset": True}),
     ],
 )
 def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):
@@ -480,7 +518,7 @@ def small(tmp_path_factory, workdir):
         (["estimate", "--method", "glasso", "--tol", "0"], "tol must be positive"),
         (["estimate", "--method", "glasso", "--tol", "-1"], "tol must be positive"),
         (["estimate", "--method", "glasso", "--tol", "nan"], "tol must be positive"),
-        (["learn", "--tau2", "nan"], "tau2 must be positive"),
+        (["learn", "--tau", "nan"], "tau2 must be positive"),
         (["detect", "--tau3", "nan"], "tau3 must be positive"),
         (["sweep", "--noise", "nan"], "scales must be nonnegative"),
         (["sweep", "--epsilon", "nan"], "scales must be nonnegative"),
@@ -494,6 +532,13 @@ def small(tmp_path_factory, workdir):
         (["sweep", "--tau1", "-1"], "thresholds tau1 and tau2 must be positive"),
         (["sweep", "--lambda", "-1"], "lam and ridge must be nonnegative"),
         (["estimate", "--method", "glasso", "--max-iter", "0"], "max_iter must be >= 1"),
+        (["estimate", "--ridge", "inf"], "ridge must be nonnegative and finite"),
+        (
+            ["estimate", "--method", "glasso", "--lambda", "inf"],
+            "penalty must be nonnegative and finite",
+        ),
+        (["estimate", "--method", "glasso", "--tol", "inf"], "tol must be positive and finite"),
+        (["sweep", "--lambda", "inf"], "lam and ridge must be nonnegative and finite"),
     ],
 )
 def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):

@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import json
 import sys
 import threading
 from pathlib import Path
@@ -104,7 +105,7 @@ class TestInjectionStatistics:
             )
 
     def test_rejects_non_finite_perturbation(self):
-        with pytest.raises(ValidationError, match="precision perturbation must be finite"):
+        with pytest.raises(ValidationError, match="precision perturbation has non-finite entries"):
             InjectionStatistics(
                 sigma_pp=np.ones(2),
                 sigma_qq=np.ones(2),
@@ -223,6 +224,26 @@ class TestSampling:
                         owners.append((path.name, func.name))
         assert owners == [("sampler.py", "_require_conditioned")]
 
+    def test_inverse_called_only_under_the_rule_or_on_glasso_iterates(self):
+        owners = []
+        for path in Path(sampler.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "inv"
+                    ):
+                        owners.append((path.name, func.name))
+        assert sorted(owners) == [
+            ("glasso.py", "_kkt_residual"),
+            ("glasso.py", "_newton"),
+            ("sampler.py", "_spd_inverse"),
+        ]
+
     def test_monte_carlo_matches_analytic(self):
         grid = generate_grid("tree", 11, seed=13)
         lap = reduced_laplacians(grid)
@@ -313,13 +334,14 @@ class TestNoise:
         with pytest.raises(ValidationError, match="equals the sample seed"):
             add_noise(signal, noise, seed=2)
 
-        # two factors on one seed: two cursor entries, interleaved windows
+        # two factors of one width on one seed share one cursor entry, which
+        # holds only a stream position: interleaved windows stay exact
         signal_factor = sampler._sealed(transfer(lap, stats))
         noise_factor = sampler._spectral_factor(noise.matrix)
-        reference = block_reference(signal_factor[0], 2) + block_reference(noise_factor[0], 2)
+        reference = block_reference(signal_factor, 2) + block_reference(noise_factor, 2)
         assert_windows(
-            lambda n, offset: sampler._mapped_rows(2, offset, offset + n, *signal_factor)
-            + sampler._mapped_rows(2, offset, offset + n, *noise_factor),
+            lambda n, offset: sampler._mapped_rows(2, offset, offset + n, signal_factor)
+            + sampler._mapped_rows(2, offset, offset + n, noise_factor),
             reference,
         )
 
@@ -347,7 +369,7 @@ class TestNoise:
             NoiseStatistics(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_non_finite_matrix(self):
-        with pytest.raises(ValidationError, match="noise covariance must be finite"):
+        with pytest.raises(ValidationError, match="noise covariance has non-finite entries"):
             NoiseStatistics(matrix=np.full((4, 4), np.nan))
 
     def test_per_bus_read_from_the_matrix(self):
@@ -400,7 +422,7 @@ class TestCursor:
             return [value]
 
         for key, entry in sampler._cursor.items():
-            assert {type(leaf) for leaf in leaves(key)} <= {int, bytes}
+            assert {type(leaf) for leaf in leaves(key)} == {int}
             assert {type(leaf) for leaf in leaves(entry)} == {int}
 
     def test_threads_reading_windows_match_one_shot(self, meshed56):
@@ -466,7 +488,7 @@ class TestTransferMemo:
         noise_deviation_bound(lap, stats, noise)
         assert (len(eig), len(solve), len(inv)) == (1, 1, 0)
         # the covariance is the draws' own transfer matrix times its transpose
-        t = lap._transfer_memo[1][0]
+        t = lap._transfer_memo[1]
         assert np.array_equal(sigma, t @ t.T)
 
     def test_ill_conditioned_composite_raises_every_call(self, ill_conditioned3):
@@ -553,6 +575,17 @@ class TestCorrelatedStats:
         with pytest.raises(ValidationError, match="positive definiteness"):
             make_correlated_stats(grid, stats, 5.0)
 
+    def test_ill_conditioned_precision_raises(self):
+        # positive definite, but with condition number 2.1e13 > COND_LIMIT
+        grid = generate_grid("meshed", 14, loops=1, min_cycle=5, seed=2)
+        stats = make_correlated_stats(
+            grid, InjectionStatistics.uniform(grid.n), 0.4474424631226931
+        )
+        with pytest.raises(NumericalError, match="injection precision numerically singular"):
+            stats.covariance()
+        with pytest.raises(NumericalError, match="injection precision"):
+            sample_voltages(reduced_laplacians(grid), stats, 10, seed=0)
+
     def test_sampling_matches_perturbed_covariance(self, path3):
         lap = reduced_laplacians(path3)
         stats = make_correlated_stats(path3, InjectionStatistics.uniform(2, 1.0), 0.2)
@@ -589,6 +622,18 @@ class TestImportExport:
         export_samples(samples, path)
         loaded = import_samples(path, difference=True)
         assert loaded.samples == pytest.approx(np.diff(samples.samples, axis=0))
+
+    @pytest.mark.parametrize("offset", [-5, 2.5, "x", None, True])
+    def test_sidecar_offset_must_be_a_non_negative_int(self, tmp_path, path3, offset):
+        samples = sample_voltages(reduced_laplacians(path3), InjectionStatistics.uniform(2), 3, 1)
+        path = tmp_path / "samples.csv"
+        export_samples(samples, path)
+        meta = path.with_suffix(".csv.meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "offset": offset}))
+        with pytest.raises(ValidationError, match="malformed metadata sidecar"):
+            import_samples(path)
+        with pytest.raises(ValidationError, match="offset must be a non-negative int"):
+            VoltageSampleSet(samples.samples, samples.bus_order, offset=offset)
 
     def test_missing_theta_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
