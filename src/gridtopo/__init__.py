@@ -5,13 +5,12 @@ flow model, estimates the voltage concentration matrix, and recovers the
 grid topology and single-line changes from it.
 """
 
-from .detect import ChangeReport, addition_endpoint_deltas, detect_change, diagonal_deltas
+from .detect import ChangeReport, detect_change, diagonal_deltas
 from .errors import ConvergenceError, GridTopoError, NumericalError, ValidationError
 from .estimator import (
     ConcentrationMatrix,
     NoiseDeviationBound,
     analytic_concentration,
-    concentration_deviation,
     direct_concentration,
     gamma_thresholds,
     noise_deviation_bound,
@@ -39,6 +38,7 @@ from .sampler import (
     VoltageSampleSet,
     add_noise,
     analytic_voltage_covariance,
+    draw_covariance,
     export_samples,
     import_samples,
     make_correlated_stats,

@@ -18,10 +18,10 @@ import numpy as np
 
 from .detect import detect_change, export_report
 from .errors import NumericalError, ValidationError
-from .estimator import export_concentration, import_concentration
+from .estimator import export_concentration, import_concentration, sample_covariance
 from .generate import generate_grid
 from .grid import load_grid, reduced_laplacians, save_grid, structure_report
-from .sampler import export_samples, import_samples
+from .sampler import add_noise, export_samples, import_samples, sample_voltages
 from .sweep import (
     DetectConfig,
     ExperimentConfig,
@@ -30,7 +30,6 @@ from .sweep import (
     _injection_stats,
     _learn,
     _relative_noise,
-    _sample,
     detect_sweep,
     run_sweep,
     threshold_sensitivity,
@@ -101,7 +100,9 @@ def cmd_sample(args) -> int:
     lap = reduced_laplacians(grid)
     stats = _injection_stats(grid, args.sigma, args.sigma_pq, args.epsilon)
     noise = _relative_noise(lap, stats, args.noise)
-    samples = _sample(lap, stats, noise, args.n, args.seed, offset=args.offset)
+    samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
+    if noise is not None:
+        samples = add_noise(samples, noise, args.seed + 1)
     samples = replace(samples, grid_sha256=grid.sha256)
     export_samples(samples, args.out)
     print(f"wrote {args.out}: {samples.n} samples x {samples.samples.shape[1]} columns")
@@ -112,7 +113,14 @@ def cmd_estimate(args) -> int:
     bus_order = load_grid(args.grid).non_reference if args.grid else None
     samples = import_samples(args.samples, bus_order=bus_order)
     conc = _concentration(
-        samples, args.method, args.lam, args.ridge, tol=args.tol, max_iter=args.max_iter
+        sample_covariance(samples),
+        samples.n,
+        samples.bus_order,
+        args.method,
+        args.lam,
+        args.ridge,
+        tol=args.tol,
+        max_iter=args.max_iter,
     )
     export_concentration(conc, args.out)
     print(f"wrote {args.out} ({conc.provenance})")

@@ -23,14 +23,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimator import ConcentrationMatrix
-from .grid import GridGraph, admittance, reduced_laplacians
-from .sampler import InjectionStatistics
 
 __all__ = [
     "ChangeReport",
     "diagonal_deltas",
     "detect_change",
-    "addition_endpoint_deltas",
     "export_report",
 ]
 
@@ -89,49 +86,6 @@ def detect_change(
     else:
         kind, endpoints = AMBIGUOUS, None
     return ChangeReport(kind=kind, endpoints=endpoints, deltas=delta_map, tau3=float(tau3))
-
-
-def addition_endpoint_deltas(
-    grid_before: GridGraph,
-    stats: InjectionStatistics,
-    a: str,
-    b: str,
-    r: float,
-    x: float,
-) -> tuple[float, float]:
-    """Closed-form endpoint deltas for adding line (a, b) to a grid.
-
-    Writing w_i = (sigma_pp + sigma_qq)/|det| for bus i's injection block
-    and (g, beta) for the new line, the delta at endpoint a is
-
-        w_a * (2 g H_g(a,a) + 2 beta H_b(a,a) + g^2 + beta^2)
-        + w_b * (g^2 + beta^2)
-
-    with the Laplacian diagonals taken from the pre-event grid. Removal
-    deltas are the negatives evaluated on the post-removal grid. Serves
-    as an independent check of :func:`diagonal_deltas`.
-    """
-    ref = grid_before.reference
-    if a == ref or b == ref:
-        raise ValidationError("closed form defined for non-reference endpoints")
-    lap = reduced_laplacians(grid_before)
-    order = {bus: k for k, bus in enumerate(lap.bus_order)}
-    if a not in order or b not in order:
-        raise ValidationError("endpoints must be non-reference buses of the grid")
-    ia, ib = order[a], order[b]
-    weight = (stats.sigma_pp + stats.sigma_qq) / np.abs(stats.determinants)
-    adm = admittance(r, x)
-    g2b2 = adm.g**2 + adm.beta**2
-
-    def delta(i_self, i_other):
-        own = weight[i_self] * (
-            2 * adm.g * lap.h_g[i_self, i_self]
-            + 2 * adm.beta * lap.h_beta[i_self, i_self]
-            + g2b2
-        )
-        return float(own + weight[i_other] * g2b2)
-
-    return delta(ia, ib), delta(ib, ia)
 
 
 def export_report(report: ChangeReport, path) -> None:

@@ -62,7 +62,6 @@ __all__ = [
     "default_ridge",
     "analytic_concentration",
     "noisy_concentration",
-    "concentration_deviation",
     "noise_deviation_bound",
     "gamma_thresholds",
     "export_concentration",
@@ -192,17 +191,6 @@ def noisy_concentration(
     return ConcentrationMatrix(
         j=j, bus_order=laplacians.bus_order, provenance="analytic", meta={"noisy": True}
     )
-
-
-def concentration_deviation(
-    laplacians: LaplacianPair,
-    stats: InjectionStatistics,
-    noise: NoiseStatistics,
-) -> np.ndarray:
-    """Deviation of the concentration matrix caused by measurement noise:
-    (Sigma + Sigma_n)^{-1} - Sigma^{-1}, with Sigma^{-1} in closed form."""
-    noisy = noisy_concentration(laplacians, stats, noise)
-    return noisy.j - analytic_concentration(laplacians, stats).j
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,12 @@ abandoned ones included), ``gap`` (the duality gap
 ``<cov, Z> - p + lam ||Z||_1,off``), ``objective``, ``kkt_residual`` of
 the returned estimate, ``rho``, and ``kernel``: the solver name
 ``"admm"``, which :func:`active_kernel` also returns.
+
+Saturating penalty: when ``lam`` is at or above every off-diagonal
+``|cov|``, ``diag(1 / variances)`` meets the KKT conditions exactly, so
+it is returned before rho is computed, with ``iterations`` 0 and ``rho``
+None. So no penalty overflows rho: ``lam = 1e150`` made the first ADMM
+step fail.
 """
 
 from __future__ import annotations
@@ -244,10 +250,18 @@ def graphical_lasso(
     variances = np.diag(cov)
     if np.any(variances <= 0):
         raise NumericalError("covariance has a zero variance; the penalized problem is unbounded")
+    if bus_order is None:
+        bus_order = tuple(str(i) for i in range(p // 2))
 
-    rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
-    # Z starts at the solution for a saturating penalty.
+    # Z starts at the solution for a saturating penalty (lam at or above
+    # every off-diagonal |cov|), which is returned as it is.
     z, u = np.diag(1.0 / variances), np.zeros((p, p))
+    if lam >= np.abs(cov - np.diag(variances)).max():
+        residual = _kkt_residual(cov, z, lam)
+        return _estimate(
+            cov, z, lam, tol, bus_order, iterations=0, newton_steps=0, residual=residual, rho=None
+        )
+    rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
     iterations = newton_steps = 0
     residual = np.inf
     previous, failed = None, set()
@@ -285,8 +299,14 @@ def graphical_lasso(
         np.linalg.cholesky(z)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("estimated concentration matrix not positive definite") from exc
-    if bus_order is None:
-        bus_order = tuple(str(i) for i in range(p // 2))
+    return _estimate(
+        cov, z, lam, tol, bus_order, iterations=iterations, newton_steps=newton_steps,
+        residual=residual, rho=rho,
+    )
+
+
+def _estimate(cov, z, lam, tol, bus_order, *, iterations, newton_steps, residual, rho):
+    """The fit ``z`` with its diagnostics (module docstring)."""
     return ConcentrationMatrix(
         j=z,
         bus_order=bus_order,

@@ -7,8 +7,8 @@ stacked voltages (v, theta) by solving the composite Laplacian system,
 optionally followed by additive Gaussian measurement noise.
 
 Matrix rules: every symmetric matrix the package accepts passes
-:func:`_symmetric` (square, finite, symmetric within tolerance, then
-symmetrized), and every matrix it inverts goes through
+:func:`_symmetric` (square, non-empty, finite, symmetric within
+tolerance, then symmetrized), and every matrix it inverts goes through
 :func:`_spd_inverse` and so through one conditioning rule,
 :func:`_require_conditioned` (all eigenvalues positive, the largest at
 most ``COND_LIMIT`` = 1e12 times the smallest), or raises
@@ -55,6 +55,25 @@ two factors of one width on one seed share an entry, and the cursor
 saves work and never changes a value. Entries are read and written under
 a lock, and the least recently written entry is dropped first.
 
+Covariance draw: :func:`draw_covariance` returns the sample covariance S
+of n rows without drawing them. For centered Gaussian rows with
+covariance A A^T, (n - 1) S is Wishart W(A A^T, n - 1), and the
+Bartlett decomposition (Odell & Feiveson 1966) draws it as
+(A B)(A B)^T, where B is d x m lower trapezoidal with d the columns of
+A and m = min(d, n - 1): B_jj = sqrt(chi^2 with n - 1 - j degrees of
+freedom) for j = 0..m-1, drawn first, then B_ij standard normal for
+i > j, drawn in row-major order. When n - 1 < d this is the singular
+form, of rank n - 1, on the same branch. The factor A is the transfer
+matrix T, or [T, F] with the noise factor F when noise is set, both
+from the memo below, so the draw follows the law of
+``sample_covariance`` of ``sample_voltages`` plus ``add_noise`` rows but
+not their values. Its Philox generator is keyed by the
+:class:`numpy.random.SeedSequence` entropy (seed, 0, 0, 0, 0): a
+(seed, block) row key has fewer than five words, which SeedSequence pads
+with zeros to four, or has five or more and does not end in two zero
+words, so no row key yields this entropy. The draw costs O(p d m) and
+holds no n x p array.
+
 Transfer memo: the per-grid work of a draw is done once and kept on the
 frozen input it belongs to, through :func:`_memoized`. A
 :class:`LaplacianPair` keeps ``|eigenvalues|`` of H, which the
@@ -91,6 +110,7 @@ __all__ = [
     "VoltageSampleSet",
     "sample_voltages",
     "add_noise",
+    "draw_covariance",
     "analytic_voltage_covariance",
     "make_correlated_stats",
     "import_samples",
@@ -128,12 +148,14 @@ def _spd_inverse(a: np.ndarray, message: str, eigenvalues: np.ndarray | None = N
 
 
 def _symmetric(matrix, what: str, rel: float = 1e-8) -> np.ndarray:
-    """``matrix`` as a symmetrized float array once it is square, finite and
-    symmetric within ``rel * max(1, max|matrix|)``; otherwise
+    """``matrix`` as a symmetrized float array once it is square, non-empty,
+    finite and symmetric within ``rel * max(1, max|matrix|)``; otherwise
     :class:`ValidationError` naming ``what``."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square")
+    if m.size == 0:
+        raise ValidationError(f"{what} is empty")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
     if not np.allclose(m, m.T, atol=rel * max(1.0, float(np.abs(m).max()))):
@@ -446,6 +468,14 @@ def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
     return _sealed(np.linalg.solve(lap.composite, chol))
 
 
+def _checked_transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
+    """The memoized transfer matrix once ``stats`` and ``lap`` agree on the
+    bus count."""
+    if stats.n != lap.n:
+        raise ValidationError("statistics and Laplacians disagree on bus count")
+    return _memoized(lap, "_transfer_memo", stats, _transfer, lap, stats)
+
+
 def _spectral_factor(matrix: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(matrix)
     return _sealed(v * np.sqrt(np.clip(w, 0.0, None)))
@@ -467,11 +497,8 @@ def sample_voltages(
         raise ValidationError("need n >= 1 samples")
     if seed < 0 or offset < 0:
         raise ValidationError(f"seed ({seed}) and offset ({offset}) must be non-negative")
-    if stats.n != laplacians.n:
-        raise ValidationError("statistics and Laplacians disagree on bus count")
-    transfer = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
     return VoltageSampleSet(
-        samples=_mapped_rows(seed, offset, offset + n, transfer),
+        samples=_mapped_rows(seed, offset, offset + n, _checked_transfer(laplacians, stats)),
         bus_order=laplacians.bus_order,
         seed=seed,
         offset=offset,
@@ -510,6 +537,44 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     return replace(samples, samples=noisy, noise=descriptor)
 
 
+def draw_covariance(
+    laplacians: LaplacianPair,
+    stats: InjectionStatistics,
+    n: int,
+    seed: int,
+    noise: NoiseStatistics | None = None,
+) -> np.ndarray:
+    """Sample covariance of ``n`` rows drawn from its Wishart law, plus
+    noise when ``noise`` is set (module docstring, Covariance draw).
+
+    The draw matches ``sample_covariance`` of ``n`` rows in distribution,
+    not in value, and is a pure function of its arguments.
+    """
+    if n < 2:
+        raise ValidationError("a sample covariance needs n >= 2")
+    if seed < 0:
+        raise ValidationError(f"seed ({seed}) must be non-negative")
+    factor = _checked_transfer(laplacians, stats)
+    if noise is not None and noise.matrix.shape[0] != factor.shape[0]:
+        raise ValidationError(
+            f"noise dimension {noise.matrix.shape[0]} does not match samples ({factor.shape[0]})"
+        )
+    if noise is not None and not noise.is_zero:
+        spectral = _memoized(noise, "_factor_memo", None, _spectral_factor, noise.matrix)
+        factor = np.hstack((factor, spectral))
+    dof = n - 1
+    d = factor.shape[1]
+    m = min(d, dof)
+    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, 0, 0, 0, 0))))
+    bartlett = np.zeros((d, m))
+    bartlett[np.diag_indices(m)] = np.sqrt(gen.chisquare(dof - np.arange(m)))
+    rows, cols = np.tril_indices(d, -1, m)
+    bartlett[rows, cols] = gen.standard_normal(len(rows))
+    root = factor @ bartlett
+    cov = root @ root.T / dof
+    return (cov + cov.T) / 2
+
+
 def analytic_voltage_covariance(
     laplacians: LaplacianPair, stats: InjectionStatistics
 ) -> np.ndarray:
@@ -517,9 +582,7 @@ def analytic_voltage_covariance(
     the transfer matrix T the draws use. It differs at rounding level (at
     most 5e-14 relative on a 56-bus grid) from the earlier
     ``inv(H) @ Sigma @ inv(H)``."""
-    if stats.n != laplacians.n:
-        raise ValidationError("statistics and Laplacians disagree on bus count")
-    t = _memoized(laplacians, "_transfer_memo", stats, _transfer, laplacians, stats)
+    t = _checked_transfer(laplacians, stats)
     return t @ t.T
 
 

@@ -1,10 +1,22 @@
 """Experiment harness: sample-size, threshold, and detection sweeps.
 
 Each sweep cell pins (repetition, sample size) to seeds derived from the
-configured base seed, generates linearized-model samples, estimates the
-concentration matrix, runs the selected learning algorithms, and scores
-against the ground-truth grid. Failures are recorded per row in the
-``status`` column instead of aborting the sweep.
+configured base seed, draws the sample covariance of its n linearized-model
+samples, estimates the concentration matrix, runs the selected learning
+algorithms, and scores against the ground-truth grid. Failures are
+recorded per row in the ``status`` column instead of aborting the sweep.
+
+Covariance draw: a cell reads only the sample covariance of its n rows,
+so it draws that covariance from its Wishart law with
+:func:`gridtopo.sampler.draw_covariance` and never draws the rows: the
+Bartlett decomposition with the factor T, or [T, F] with the noise
+factor F, under a Philox key that no row key shares (see the sampler's
+module docstring). A row follows the law it had when rows were drawn,
+not their values. The draw is a pure function of the row's ``seed``
+column, so a row still replays from that column, and CSV bodies stay
+byte-identical across reruns at a fixed BLAS thread count. Both windows
+of a detect cell are drawn the same way. A draw costs O(p^3) at any n,
+where rows cost O(n p^2) time and n x p memory.
 
 Output CSV bodies are deterministic for a fixed configuration except for
 the ``runtime_ms`` column, which reports wall-clock of estimation plus
@@ -38,16 +50,14 @@ from .estimator import (
     default_ridge,
     direct_concentration,
     gamma_thresholds,
-    sample_covariance,
 )
 from .grid import GridGraph, load_grid, reduced_laplacians
 from .sampler import (
     InjectionStatistics,
     NoiseStatistics,
-    add_noise,
     analytic_voltage_covariance,
+    draw_covariance,
     make_correlated_stats,
-    sample_voltages,
 )
 from .topology import learn_neighborhood, learn_sign_rule, score
 
@@ -158,6 +168,8 @@ class ExperimentConfig(_Config):
         if self.estimator not in _ESTIMATOR_OPTIONS:
             raise ValidationError(f"unknown estimator {self.estimator!r}")
         _reject_ignored(self.estimator, lam=self.lam, ridge=self.ridge)
+        if self.sample_sizes[0] < 2:
+            raise ValidationError("sample sizes must be >= 2: a covariance needs two rows")
         for alg in self.algorithms:
             if alg not in ("neighborhood", "sign"):
                 raise ValidationError(f"unknown algorithm {alg!r}")
@@ -236,9 +248,8 @@ def _fmt(value):
 
 
 def _cell_seed(config_seed: int, rep_seed: int, n_index: int) -> int:
-    """Derived sampling seed for a sweep cell. The noise stream of a cell
-    always uses the sampling seed plus one, so a recorded row can be
-    replayed from its ``seed`` column alone."""
+    """Derived seed of a sweep cell's covariance draw, noise included, so a
+    recorded row can be replayed from its ``seed`` column alone."""
     state = np.random.SeedSequence((config_seed, rep_seed, n_index)).generate_state(1)
     return int(state[0])
 
@@ -270,15 +281,6 @@ def _relative_noise(lap, stats: InjectionStatistics, level: float):
     return NoiseStatistics.relative(signal_var, level)
 
 
-def _sample(lap, stats, noise, n, seed, offset=0):
-    """Rows [offset, offset + n) of ``seed``'s samples, plus noise drawn
-    from ``seed + 1`` when ``noise`` is set."""
-    samples = sample_voltages(lap, stats, n, seed, offset=offset)
-    if noise is not None:
-        samples = add_noise(samples, noise, seed + 1)
-    return samples
-
-
 def _reject_ignored(estimator, **options):
     """Raise ValidationError on a non-None option that ``estimator`` does not take."""
     taken = _ESTIMATOR_OPTIONS[estimator]
@@ -287,14 +289,15 @@ def _reject_ignored(estimator, **options):
         raise ValidationError(f"the {estimator} estimator does not take {', '.join(ignored)}")
 
 
-def _concentration(samples, estimator="direct", lam=None, ridge=None, **fit):
-    """Concentration matrix of the samples' covariance, by direct inversion
-    or by the graphical lasso on the standardized covariance; ``fit``
-    (``tol``, ``max_iter``) goes to the graphical lasso. Options left at
-    None take the estimator's defaults."""
+def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, **fit):
+    """Concentration matrix of the sample covariance ``cov`` of ``n`` rows,
+    by direct inversion or by the graphical lasso on the standardized
+    covariance; ``fit`` (``tol``, ``max_iter``) goes to the graphical
+    lasso. Options left at None take the estimator's defaults. The one
+    estimate path of the sweeps (drawn ``cov``) and ``gridtopo estimate``
+    (``cov`` of imported rows)."""
     _reject_ignored(estimator, lam=lam, ridge=ridge, **fit)
     fit = {k: v for k, v in fit.items() if v is not None}
-    cov, n, bus_order = sample_covariance(samples), samples.n, samples.bus_order
     if estimator == "glasso":
         lam = lam if lam is not None else glasso.default_lambda(n, cov.shape[0])
         # The penalty rate presumes standardized variables: solve on
@@ -358,8 +361,8 @@ class _SweepContext:
 
     def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
         c = self.config
-        samples = _sample(self.lap, self.stats, self.noise, n, sample_seed)
-        return _concentration(samples, c.estimator, c.lam, c.ridge)
+        cov = draw_covariance(self.lap, self.stats, n, sample_seed, self.noise)
+        return _concentration(cov, n, self.lap.bus_order, c.estimator, c.lam, c.ridge)
 
 
 def _scored_cells(config: ExperimentConfig, n_indices, multipliers):
@@ -497,10 +500,10 @@ def detect_sweep(config: DetectConfig):
     noise = _relative_noise(lap_before, stats, config.noise)
 
     def detect_cell(n, s_before, s_after):
+        before_cov = draw_covariance(lap_before, stats, n, s_before, noise)
+        after_cov = draw_covariance(lap_after, stats, n, s_after, noise)
         return detect_change(
-            _concentration(_sample(lap_before, stats, noise, n, s_before)),
-            _concentration(_sample(lap_after, stats, noise, n, s_after)),
-            tau3,
+            _concentration(before_cov, n, order), _concentration(after_cov, n, order), tau3
         )
 
     rows = []

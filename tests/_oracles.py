@@ -9,12 +9,18 @@ the solver uses an eigendecomposition and a vectorized clip. The noise
 deviation of the concentration matrix is evaluated by the Woodbury update
 instead of the difference of two inverses. The witness pass of the
 neighborhood search enumerates the pairs of common neighbors in a Python
-loop, where the learner counts them with array products.
+loop, where the learner counts them with array products. The endpoint
+deltas of a line addition come from a closed form in the pre-event
+Laplacian diagonals instead of the difference of two concentration
+matrices.
 """
 
 import itertools
 
 import numpy as np
+
+from gridtopo.errors import ValidationError
+from gridtopo.grid import admittance, reduced_laplacians
 
 
 def penalized_objective(cov, theta, lam):
@@ -176,3 +182,39 @@ def witness_edges(hybrid):
         if any((k, l) not in hybrid.edges for k, l in itertools.combinations(common, 2)):
             found.add((a, b))
     return found
+
+
+def addition_endpoint_deltas(grid_before, stats, a, b, r, x):
+    """Closed-form endpoint deltas for adding line (a, b) to a grid.
+
+    Writing w_i = (sigma_pp + sigma_qq)/|det| for bus i's injection block
+    and (g, beta) for the new line, the delta at endpoint a is
+
+        w_a * (2 g H_g(a,a) + 2 beta H_b(a,a) + g^2 + beta^2)
+        + w_b * (g^2 + beta^2)
+
+    with the Laplacian diagonals taken from the pre-event grid. Removal
+    deltas are the negatives evaluated on the post-removal grid. Serves
+    as an independent check of ``diagonal_deltas``.
+    """
+    ref = grid_before.reference
+    if a == ref or b == ref:
+        raise ValidationError("closed form defined for non-reference endpoints")
+    lap = reduced_laplacians(grid_before)
+    order = {bus: k for k, bus in enumerate(lap.bus_order)}
+    if a not in order or b not in order:
+        raise ValidationError("endpoints must be non-reference buses of the grid")
+    ia, ib = order[a], order[b]
+    weight = (stats.sigma_pp + stats.sigma_qq) / np.abs(stats.determinants)
+    adm = admittance(r, x)
+    g2b2 = adm.g**2 + adm.beta**2
+
+    def delta(i_self, i_other):
+        own = weight[i_self] * (
+            2 * adm.g * lap.h_g[i_self, i_self]
+            + 2 * adm.beta * lap.h_beta[i_self, i_self]
+            + g2b2
+        )
+        return float(own + weight[i_other] * g2b2)
+
+    return delta(ia, ib), delta(ib, ia)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from gridtopo.cli import build_parser, main
-from gridtopo.estimator import analytic_concentration, export_concentration, import_concentration
+from gridtopo.estimator import (
+    analytic_concentration,
+    export_concentration,
+    import_concentration,
+    sample_covariance,
+)
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
@@ -17,7 +22,6 @@ from gridtopo.sweep import (
     _concentration,
     _injection_stats,
     _relative_noise,
-    _sample,
 )
 
 
@@ -438,8 +442,8 @@ def test_estimate_glasso_standardizes_like_the_sweep(tmp_path):
     assert meta["standardized"] is True
     grid = load_grid(grid_path)
     lap = reduced_laplacians(grid)
-    samples = _sample(lap, _injection_stats(grid, 1e-2, 0.0), None, 200, 5)
-    expected = _concentration(samples, "glasso").j
+    samples = sample_voltages(lap, _injection_stats(grid, 1e-2, 0.0), 200, 5)
+    expected = _concentration(sample_covariance(samples), 200, lap.bus_order, "glasso").j
     got = import_concentration(conc).j
     off = ~np.eye(len(got), dtype=bool)
     assert np.count_nonzero(expected[off]) > 0
@@ -539,6 +543,8 @@ def small(tmp_path_factory, workdir):
         ),
         (["estimate", "--method", "glasso", "--tol", "inf"], "tol must be positive and finite"),
         (["sweep", "--lambda", "inf"], "lam and ridge must be nonnegative and finite"),
+        (["sweep", "--n", "1"], "sample sizes must be >= 2"),
+        (["threshold-sensitivity", "--n", "1"], "sample sizes must be >= 2"),
     ],
 )
 def test_out_of_range_value_exit_code(workdir, small, tmp_path, capsys, args, message):

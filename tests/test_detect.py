@@ -2,13 +2,13 @@ import numpy as np
 import networkx as nx
 import pytest
 
+from _oracles import addition_endpoint_deltas
 from conftest import random_stats
 from gridtopo.detect import (
     ADDED,
     AMBIGUOUS,
     NO_CHANGE,
     REMOVED,
-    addition_endpoint_deltas,
     detect_change,
     diagonal_deltas,
 )

@@ -11,7 +11,6 @@ from gridtopo.estimator import (
     NUMERIC_ZERO_FLOOR,
     ConcentrationMatrix,
     analytic_concentration,
-    concentration_deviation,
     direct_concentration,
     default_ridge,
     export_concentration,
@@ -233,8 +232,6 @@ class TestNoiseDeviation:
         for noise in (NoiseStatistics.zero(2), NoiseStatistics.from_vectors([0.01] * 2, [0.01] * 2)):
             with pytest.raises(NumericalError, match="composite Laplacian"):
                 noisy_concentration(lap, stats, noise)
-            with pytest.raises(NumericalError, match="composite Laplacian"):
-                concentration_deviation(lap, stats, noise)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_chain_and_empirical(self, seed):
@@ -246,7 +243,7 @@ class TestNoiseDeviation:
         signal = np.diag(analytic_voltage_covariance(lap, stats))
         noise = NoiseStatistics.relative(signal, level)
         bound = noise_deviation_bound(lap, stats, noise)
-        delta = concentration_deviation(lap, stats, noise)
+        delta = noisy_concentration(lap, stats, noise).j - analytic_concentration(lap, stats).j
         empirical = np.abs(delta).max()
         assert empirical <= bound.value * (1 + 1e-9)
         assert empirical <= bound.per_bus_value * (1 + 1e-9)
@@ -262,7 +259,7 @@ class TestNoiseDeviation:
         stats = random_stats(grid.n, seed=seed)
         signal = np.diag(analytic_voltage_covariance(lap, stats))
         noise = NoiseStatistics.relative(signal, 0.01)
-        exact = concentration_deviation(lap, stats, noise)
+        exact = noisy_concentration(lap, stats, noise).j - analytic_concentration(lap, stats).j
         wood = woodbury_deviation(analytic_concentration(lap, stats).j, noise.matrix)
         assert rel_frobenius(exact, wood) < 1e-8
         assert np.abs(exact - exact.T).max() < 1e-10 * np.abs(exact).max()
@@ -273,8 +270,8 @@ class TestNoiseDeviation:
         stats = InjectionStatistics.uniform(2, 1.0)
         noise = NoiseStatistics.from_vectors([0.01, 0.01], [0.01, 0.01])
         noisy = noisy_concentration(lap, stats, noise)
-        delta = concentration_deviation(lap, stats, noise)
         base = analytic_concentration(lap, stats)
+        delta = woodbury_deviation(base.j, noise.matrix)
         assert rel_frobenius(noisy.j, base.j + delta) < 1e-10
 
 
@@ -323,6 +320,10 @@ class TestConcentrationIO:
         assert np.array_equal(loaded.j, conc.j)
         assert loaded.bus_order == conc.bus_order
         assert loaded.provenance == "analytic"
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="concentration matrix is empty"):
+            ConcentrationMatrix(np.zeros((0, 0)), (), "analytic")
 
     def test_block_views(self):
         j = np.arange(16).reshape(4, 4).astype(float)

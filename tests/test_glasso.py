@@ -80,8 +80,19 @@ class TestPenalized(InputLeg):
         np.fill_diagonal(off, 0.0)
         lam = np.abs(off).max()
         conc = self.fit(cov, lam, tol=1e-8)
-        assert np.allclose(conc.j, np.diag(np.diag(conc.j)), atol=1e-9)
-        assert np.diag(conc.j) == pytest.approx(1.0 / np.diag(cov))
+        assert np.array_equal(conc.j, np.diag(1.0 / np.diag(cov)))
+        assert conc.meta["iterations"] == 0 and conc.meta["rho"] is None
+        assert conc.meta["kkt_residual"] <= 1e-8
+        # Just below the largest off-diagonal |cov| the solver runs.
+        assert self.fit(cov, np.nextafter(lam, 0.0)).meta["iterations"] > 0
+
+    def test_huge_penalty_closed_form(self):
+        # The ADMM step once overflowed here: rho grows like lam**2.
+        x = np.random.default_rng(4).standard_normal((40, 6))
+        corr = np.corrcoef(x, rowvar=False)
+        conc = self.fit(corr, 1e150)
+        assert np.array_equal(conc.j, np.diag(1.0 / np.diag(corr)))
+        assert np.isfinite(conc.meta["objective"]) and conc.meta["gap"] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objective_matches_proximal_oracle(self, seed):

@@ -21,6 +21,7 @@ from gridtopo.sampler import (
     VoltageSampleSet,
     add_noise,
     analytic_voltage_covariance,
+    draw_covariance,
     export_samples,
     import_samples,
     make_correlated_stats,
@@ -302,6 +303,10 @@ class TestNoise:
         noisy = add_noise(samples, NoiseStatistics.zero(2), seed=2)
         assert np.array_equal(noisy.samples, samples.samples)
 
+    def test_empty_covariance_rejected(self):
+        with pytest.raises(ValidationError, match="noise covariance is empty"):
+            NoiseStatistics(np.zeros((0, 0)))
+
     def test_dimension_mismatch(self, path3):
         lap = reduced_laplacians(path3)
         samples = sample_voltages(lap, InjectionStatistics.uniform(2), 5, seed=1)
@@ -379,6 +384,82 @@ class TestNoise:
         cross_bus = np.diag([0.1, 0.1, 0.1, 0.1])
         cross_bus[0, 1] = cross_bus[1, 0] = 0.01
         assert not NoiseStatistics(matrix=cross_bus).per_bus
+
+
+class TestCovarianceDraw:
+    """``draw_covariance`` against the Wishart law of the sample covariance."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return generate_grid("meshed", 8, loops=1, min_cycle=4, seed=3)
+
+    @pytest.fixture(scope="class")
+    def model(self, grid):
+        lap = reduced_laplacians(grid)
+        stats = random_stats(grid.n, seed=8)
+        signal = analytic_voltage_covariance(lap, stats)
+        return lap, stats, NoiseStatistics.relative(np.diag(signal), 0.05)
+
+    def test_byte_identical_for_the_same_arguments(self, grid, model):
+        lap, stats, noise = model
+        for extra in (None, noise):
+            first = draw_covariance(lap, stats, 300, 5, extra)
+            again = draw_covariance(reduced_laplacians(grid), stats, 300, 5, extra)
+            assert first.tobytes() == again.tobytes()
+            assert np.array_equal(first, first.T)
+        assert not np.array_equal(
+            draw_covariance(lap, stats, 300, 5), draw_covariance(lap, stats, 300, 6)
+        )
+
+    def test_documented_bartlett_layout(self, model):
+        # Rebuilt entry by entry from the sampler docstring: chi-squares
+        # for the diagonal first, then normals below it in row-major order.
+        lap, stats, noise = model
+        factor = np.hstack((transfer(lap, stats), sampler._spectral_factor(noise.matrix)))
+        for n in (5, 300):
+            dof, d = n - 1, factor.shape[1]
+            m = min(d, dof)
+            key = np.random.SeedSequence((7, 0, 0, 0, 0))
+            gen = np.random.Generator(np.random.Philox(seed=key))
+            b = np.zeros((d, m))
+            chi = gen.chisquare([dof - j for j in range(m)])
+            normals = iter(gen.standard_normal(sum(min(i, m) for i in range(d))))
+            for i in range(d):
+                for j in range(min(i + 1, m)):
+                    b[i, j] = np.sqrt(chi[j]) if i == j else next(normals)
+            expected = (factor @ b) @ (factor @ b).T / dof
+            got = draw_covariance(lap, stats, n, 7, noise)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_moments_match_the_wishart_law(self, model, noisy):
+        lap, stats, noise = model
+        noise = noise if noisy else None
+        sigma, n = analytic_voltage_covariance(lap, stats), 300
+        if noisy:
+            sigma = sigma + noise.matrix
+        draws = np.array([draw_covariance(lap, stats, n, seed, noise) for seed in range(2000)])
+        mean_error = np.abs(draws.mean(axis=0) - sigma).max() / np.abs(sigma).max()
+        assert mean_error < 0.03
+        expected = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / (n - 1)
+        ratio = np.median(draws.var(axis=0) / expected)
+        assert abs(ratio - 1) < 0.05
+
+    @pytest.mark.parametrize("n", [2, 5, 14])
+    def test_rank_below_the_dimension(self, model, n):
+        lap, stats, noise = model
+        for extra in (None, noise):
+            cov = draw_covariance(lap, stats, n, 3, extra)
+            assert np.linalg.matrix_rank(cov) == min(n - 1, cov.shape[0])
+
+    def test_rejects_bad_arguments(self, model):
+        lap, stats, _ = model
+        with pytest.raises(ValidationError, match="n >= 2"):
+            draw_covariance(lap, stats, 1, 3)
+        with pytest.raises(ValidationError, match="non-negative"):
+            draw_covariance(lap, stats, 10, -1)
+        with pytest.raises(ValidationError, match="dimension"):
+            draw_covariance(lap, stats, 10, 3, NoiseStatistics.from_vectors([0.1], [0.1]))
 
 
 class TestCursor:

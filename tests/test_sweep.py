@@ -5,10 +5,13 @@ import platform
 import numpy as np
 import pytest
 
+from _oracles import glasso_kkt_residual
 from gridtopo import glasso
 from gridtopo.errors import ValidationError
+from gridtopo.estimator import ConcentrationMatrix, analytic_concentration, gamma_thresholds
 from gridtopo.generate import generate_grid
-from gridtopo.grid import apply_line_event, save_grid
+from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
+from gridtopo.sampler import InjectionStatistics, draw_covariance
 from gridtopo.sweep import (
     DetectConfig,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from gridtopo.sweep import (
     run_sweep,
     threshold_sensitivity,
 )
+from gridtopo.topology import learn_neighborhood, learn_sign_rule, score
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,31 @@ class TestRunSweep:
         result = run_sweep(config)
         assert all(row["status"] == "ok" for row in result.rows)
         assert all(row["error_ratio"] is not None for row in result.rows)
+
+    def test_glasso_row_scores_the_stationary_fit_of_the_draw(self, small_grid_path):
+        # A glasso row is the score of graphical_lasso on the standardized
+        # covariance drawn at the row's seed, and that fit is stationary.
+        n = 200
+        config = ExperimentConfig(
+            grid=small_grid_path, sample_sizes=(n,), repetitions=2, seed=9, estimator="glasso"
+        )
+        grid = load_grid(small_grid_path)
+        lap, stats = reduced_laplacians(grid), InjectionStatistics.uniform(grid.n)
+        gamma1, gamma2 = gamma_thresholds(analytic_concentration(lap, stats))
+        lam = glasso.default_lambda(n, 2 * grid.n)
+        rows = run_sweep(config).rows
+        assert len(rows) == 4
+        for row in rows:
+            cov = draw_covariance(lap, stats, n, row["seed"])
+            scale = np.outer(np.sqrt(np.diag(cov)), np.sqrt(np.diag(cov)))
+            fit = glasso.graphical_lasso(cov / scale, lam)
+            assert glasso_kkt_residual(fit.j, cov / scale, lam) <= 1e-3
+            conc = ConcentrationMatrix(fit.j / scale, lap.bus_order, "graphical_lasso")
+            if row["algorithm"] == "neighborhood":
+                learned = learn_neighborhood(conc, gamma1 / 2)
+            else:
+                learned = learn_sign_rule(conc, gamma2 / 2)
+            assert row["error_ratio"] == score(learned, grid)
 
     def test_failed_cell_recorded_not_raised(self, small_grid_path):
         # n below the dimension with a forced zero ridge: the estimation

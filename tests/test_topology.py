@@ -22,8 +22,8 @@ from gridtopo.grid import (
     reduced_laplacians,
     structure_report,
 )
-from gridtopo.sampler import InjectionStatistics, sample_voltages
-from gridtopo.sweep import _concentration, _sample
+from gridtopo.sampler import InjectionStatistics, draw_covariance, sample_voltages
+from gridtopo.sweep import _concentration
 from gridtopo.topology import (
     NON_LEAF,
     UNRESOLVED,
@@ -324,7 +324,10 @@ class TestUnsortedBusOrder:
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
     def test_learner_edges_match_brute_force(self, grid, n, scale):
         lap, stats, analytic = analytic_for(grid, random_stats(grid.n, seed=4))
-        conc = analytic if n is None else _concentration(_sample(lap, stats, None, n, 11))
+        if n is None:
+            conc = analytic
+        else:
+            conc = _concentration(draw_covariance(lap, stats, n, 11), n, lap.bus_order)
         order = conc.bus_order
         gamma1, gamma2 = gamma_thresholds(analytic)
         tau1, tau2 = gamma1 * scale, gamma2 * scale
