@@ -44,13 +44,6 @@ from .sampler import (
     make_correlated_stats,
     sample_voltages,
 )
-from .topology import (
-    HybridGraph,
-    TopologyEstimate,
-    build_hybrid,
-    learn_neighborhood,
-    learn_sign_rule,
-    score,
-)
+from .topology import TopologyEstimate, learn_neighborhood, learn_sign_rule, score
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Subcommands: gen-grid, sample, estimate, learn, detect, sweep,
 threshold-sensitivity. Configuration comes from an optional JSON
 file (--config) with command-line flags taking precedence. Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+0 success, 2 validation error or failed write, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def cmd_learn(args) -> int:
     neighborhood = args.alg == "neighborhood"
     tau = args.tau
     if tau is None and truth is not None:
-        tau = _half_gamma(truth, args.sigma, args.sigma_pq)[0 if neighborhood else 1]
+        half = _half_gamma(reduced_laplacians(truth), args.sigma, args.sigma_pq)
+        tau = half[0 if neighborhood else 1]
     if tau is None:
         # Cut at the largest gap of the off-diagonal statistic.
         off = ~np.eye(conc.n, dtype=bool)
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -654,14 +654,11 @@ def import_samples(
     path,
     bus_order: tuple[str, ...] | None = None,
     center: bool = True,
-    difference: bool = False,
 ) -> VoltageSampleSet:
     """Read a sample CSV, mean-centering values by default.
 
     Externally generated measurements carry an operating-point mean; the
-    fluctuation convention removes it. ``difference=True`` instead takes
-    consecutive differences (for drifting operating points). A sidecar
-    restores the seed, offset (0 if it has none), grid hash and noise.
+    fluctuation convention removes it. A sidecar restores the seed, offset (0 if it has none), grid hash and noise.
     """
     path = Path(path)
     try:
@@ -693,9 +690,7 @@ def import_samples(
         raise ValidationError(f"non-numeric cell in sample file: {exc}") from exc
     if data.shape[1] != len(header):
         raise ValidationError("ragged sample rows")
-    if difference:
-        data = np.diff(data, axis=0)
-    elif center:
+    if center:
         data -= data.mean(axis=0)
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     # The header fixed the shape, so only the sidecar's fields can fail here.

@@ -51,7 +51,7 @@ from .estimator import (
     direct_concentration,
     gamma_thresholds,
 )
-from .grid import GridGraph, load_grid, reduced_laplacians
+from .grid import GridGraph, LaplacianPair, load_grid, reduced_laplacians
 from .sampler import (
     InjectionStatistics,
     NoiseStatistics,
@@ -313,12 +313,12 @@ def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, 
     return direct_concentration(cov, ridge, bus_order=bus_order)
 
 
-def _half_gamma(grid: GridGraph, sigma: float, sigma_pq: float) -> tuple[float, float]:
-    """Half the gamma thresholds of the grid's analytic concentration matrix
-    under uncorrelated injections: the default ``(tau1, tau2)``."""
-    analytic = analytic_concentration(
-        reduced_laplacians(grid), _injection_stats(grid, sigma, sigma_pq)
-    )
+def _half_gamma(lap: LaplacianPair, sigma: float, sigma_pq: float) -> tuple[float, float]:
+    """Half the gamma thresholds of the analytic concentration matrix of the
+    grid's Laplacians ``lap`` under uncorrelated injections: the default
+    ``(tau1, tau2)``."""
+    stats = InjectionStatistics.uniform(lap.n, variance=sigma, sigma_pq=sigma_pq)
+    analytic = analytic_concentration(lap, stats)
     gamma1, gamma2 = gamma_thresholds(analytic)
     return gamma1 / 2, gamma2 / 2
 
@@ -355,7 +355,7 @@ class _SweepContext:
         self.lap = reduced_laplacians(self.grid)
         self.stats = _injection_stats(self.grid, config.sigma, config.sigma_pq, config.epsilon)
         self.noise = _relative_noise(self.lap, self.stats, config.noise)
-        half1, half2 = _half_gamma(self.grid, config.sigma, config.sigma_pq)
+        half1, half2 = _half_gamma(self.lap, config.sigma, config.sigma_pq)
         self.tau1 = config.tau1 if config.tau1 is not None else half1
         self.tau2 = config.tau2 if config.tau2 is not None else half2
 

@@ -1,9 +1,11 @@
 """Topology learning from the voltage concentration matrix.
 
 Two algorithms recover the grid edge set from the estimated concentration
-matrix. Both start from the "hybrid" graph over buses whose edges are the
-above-threshold |J_vv| entries; by the two-hop support property this
-graph is the true grid plus edges between two-hop neighbors.
+matrix. Each thresholds one N x N statistic into a boolean mask over bus
+indices and reads its edges from that mask. For neighborhood search the
+mask is the "hybrid" graph, the off-diagonal entries with |J_vv| above
+tau1; by the two-hop support property it is the true grid plus edges
+between two-hop neighbors.
 
 Neighborhood search separates true from two-hop edges by a local witness
 test (sound for minimum cycle length above six), then attaches leaves by
@@ -28,9 +30,7 @@ from .estimator import ConcentrationMatrix
 from .grid import GridGraph, _edge_key
 
 __all__ = [
-    "HybridGraph",
     "TopologyEstimate",
-    "build_hybrid",
     "learn_neighborhood",
     "learn_sign_rule",
     "score",
@@ -41,32 +41,6 @@ __all__ = [
 LEAF = "leaf"
 NON_LEAF = "non_leaf"
 UNRESOLVED = "unresolved"
-
-
-@dataclass(frozen=True)
-class HybridGraph:
-    """Thresholded |J_vv| graph over buses: grid edges plus two-hop pairs."""
-
-    nodes: tuple[str, ...]
-    edges: frozenset  # canonical (a, b) pairs, a < b
-    threshold: float
-
-    def neighbors(self) -> dict[str, set]:
-        return _adjacency(self.nodes, self.edges)
-
-
-def _adjacency(nodes, edges) -> dict[str, set]:
-    adj: dict[str, set] = {b: set() for b in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _pairs(mask: np.ndarray):
-    """Index pairs (i, j), i < j, where the upper triangle of ``mask`` is set."""
-    rows, cols = np.nonzero(np.triu(mask, 1))
-    return zip(rows.tolist(), cols.tolist())
 
 
 @dataclass(frozen=True)
@@ -82,12 +56,11 @@ class TopologyEstimate:
                 raise ValidationError("estimate contains a self-loop")
 
 
-def build_hybrid(conc: ConcentrationMatrix, tau1: float) -> HybridGraph:
-    if not tau1 > 0:
-        raise ValidationError("tau1 must be positive")
-    order = conc.bus_order
-    edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(np.abs(conc.j_vv) > tau1))
-    return HybridGraph(nodes=order, edges=edges, threshold=float(tau1))
+def _edges(order, mask: np.ndarray) -> frozenset:
+    """Canonical bus-name pairs (a, b), a < b, where the upper triangle of
+    the N x N ``mask`` over ``order`` is set."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return frozenset(_edge_key(order[i], order[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
 def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstimate:
@@ -100,37 +73,40 @@ def learn_neighborhood(conc: ConcentrationMatrix, tau1: float) -> TopologyEstima
     coincide with the non-leaf hybrid neighbors of j other than i. Nodes
     that fail both passes stay Unresolved.
     """
-    hybrid = build_hybrid(conc, tau1)
-    adj = hybrid.neighbors()
-    edges = tuple(hybrid.edges)
-    index = {b: k for k, b in enumerate(hybrid.nodes)}
-    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
-    adjacent = np.zeros((len(index), len(index)), dtype=bool)
-    adjacent[ends[:, 0], ends[:, 1]] = adjacent[ends[:, 1], ends[:, 0]] = True
-    # Per edge: its common neighbours, and twice the edges among them. The
-    # float32 product is exact for counts below 2**24.
-    common = adjacent[ends[:, 0]] & adjacent[ends[:, 1]]
+    if not tau1 > 0:
+        raise ValidationError("tau1 must be positive")
+    hybrid = np.abs(conc.j_vv) > tau1
+    np.fill_diagonal(hybrid, False)
+    # Per hybrid edge: its common neighbours, and twice the edges among
+    # them. The float32 product is exact for counts below 2**24.
+    rows, cols = np.nonzero(np.triu(hybrid))
+    common = hybrid[rows] & hybrid[cols]
     size = common.sum(axis=1)
     weights = common.astype(np.float32)
-    links = ((weights @ adjacent.astype(np.float32)) * weights).sum(axis=1)
-    witnessed = (links < size * (size - 1)).tolist()
-    recovered = {edge for edge, found in zip(edges, witnessed) if found}
-    non_leaf = {b for edge in recovered for b in edge}
-
-    node_class = {b: (NON_LEAF if b in non_leaf else UNRESOLVED) for b in hybrid.nodes}
-    skeleton_adj = _adjacency(hybrid.nodes, recovered)
+    links = ((weights @ hybrid.astype(np.float32)) * weights).sum(axis=1)
+    witnessed = links < size * (size - 1)
+    skeleton = np.zeros_like(hybrid)
+    skeleton[rows[witnessed], cols[witnessed]] = True
+    skeleton |= skeleton.T
+    non_leaf = skeleton.any(axis=1)
 
     # Leaf attachment is only sound with at least three non-leaf nodes.
-    if len(non_leaf) >= 3:
-        for j in sorted(set(hybrid.nodes) - non_leaf):
-            hybrid_non_leaf = {k for k in adj[j] if k in non_leaf}
-            for i in sorted(hybrid_non_leaf):
-                if skeleton_adj[i] == hybrid_non_leaf - {i}:
-                    recovered.add(_edge_key(i, j))
-                    node_class[j] = LEAF
+    # Candidates are the pairs (unresolved j, non-leaf hybrid neighbour i).
+    leaf = np.zeros_like(non_leaf)
+    recovered = skeleton.copy()
+    if non_leaf.sum() >= 3:
+        candidates = hybrid & non_leaf & ~non_leaf[:, None]
+        j, i = np.nonzero(candidates)
+        others = candidates[j]
+        others[np.arange(len(j)), i] = False
+        attach = (skeleton[i] == others).all(axis=1)
+        j, i = j[attach], i[attach]
+        recovered[j, i] = recovered[i, j] = True
+        leaf[j] = True
+    labels = np.select([leaf, non_leaf], [LEAF, NON_LEAF], UNRESOLVED).tolist()
     return TopologyEstimate(
-        edges=frozenset(recovered),
-        node_class=node_class,
+        edges=_edges(conc.bus_order, recovered),
+        node_class=dict(zip(conc.bus_order, labels)),
         algorithm="neighborhood",
         thresholds={"tau1": float(tau1)},
     )
@@ -140,12 +116,9 @@ def learn_sign_rule(conc: ConcentrationMatrix, tau2: float) -> TopologyEstimate:
     """Sign-rule topology learning: keep (ij) iff J_vv + J_tt < -tau2."""
     if not tau2 > 0:
         raise ValidationError("tau2 must be positive")
-    order = conc.bus_order
-    edges = frozenset(_edge_key(order[i], order[j]) for i, j in _pairs(conc.sign_sum() < -tau2))
-    node_class = {b: UNRESOLVED for b in order}
     return TopologyEstimate(
-        edges=edges,
-        node_class=node_class,
+        edges=_edges(conc.bus_order, conc.sign_sum() < -tau2),
+        node_class=dict.fromkeys(conc.bus_order, UNRESOLVED),
         algorithm="sign",
         thresholds={"tau2": float(tau2)},
     )

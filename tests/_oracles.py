@@ -7,12 +7,15 @@ eigendecomposition step), and the reference ADMM iteration takes its
 Theta-step by a matrix square root and thresholds entry by entry, where
 the solver uses an eigendecomposition and a vectorized clip. The noise
 deviation of the concentration matrix is evaluated by the Woodbury update
-instead of the difference of two inverses. The witness pass of the
-neighborhood search enumerates the pairs of common neighbors in a Python
-loop, where the learner counts them with array products. The endpoint
-deltas of a line addition come from a closed form in the pre-event
-Laplacian diagonals instead of the difference of two concentration
-matrices.
+instead of the difference of two inverses. The neighborhood search is
+rebuilt from bus-name sets in Python loops: the oracle takes the
+concentration matrix and threshold, tests the |J_vv| entries pair by pair
+for its hybrid graph, enumerates the pairs of common neighbors for the
+witness pass and compares neighbor sets bus by bus for the leaf pass,
+where the learner reads one boolean mask with array products. The
+endpoint deltas of a line addition come from a closed form in the
+pre-event Laplacian diagonals instead of the difference of two
+concentration matrices.
 """
 
 import itertools
@@ -172,15 +175,55 @@ def woodbury_deviation(j0, noise):
     return (delta + delta.T) / 2
 
 
-def witness_edges(hybrid):
+def hybrid_edges(conc, tau1):
+    """Bus-name pairs (a, b), a < b, whose |J_vv| entry is above ``tau1``,
+    tested pair by pair: the hybrid graph of the neighborhood search."""
+    order, jvv = conc.bus_order, conc.j_vv
+    return {
+        tuple(sorted((order[i], order[j])))
+        for i, j in itertools.combinations(range(len(order)), 2)
+        if abs(jvv[i, j]) > tau1
+    }
+
+
+def _neighbors(nodes, edges):
+    adj = {b: set() for b in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def witness_edges(conc, tau1):
     """Hybrid edges (a, b) with a witness: two common hybrid neighbors of a
     and b that are not hybrid-adjacent, found pair by pair."""
-    adj = hybrid.neighbors()
+    hybrid = hybrid_edges(conc, tau1)
+    adj = _neighbors(conc.bus_order, hybrid)
     found = set()
-    for a, b in hybrid.edges:
+    for a, b in hybrid:
         common = sorted((adj[a] & adj[b]) - {a, b})
-        if any((k, l) not in hybrid.edges for k, l in itertools.combinations(common, 2)):
+        if any((k, l) not in hybrid for k, l in itertools.combinations(common, 2)):
             found.add((a, b))
+    return found
+
+
+def leaf_edges(conc, tau1):
+    """Edges of the neighborhood search's leaf pass, bus by bus: with at
+    least three buses on witnessed edges, each other bus j attaches to every
+    such hybrid neighbor i whose witnessed neighbors are exactly j's other
+    hybrid neighbors among those buses."""
+    skeleton = witness_edges(conc, tau1)
+    non_leaf = {b for edge in skeleton for b in edge}
+    if len(non_leaf) < 3:
+        return set()
+    adj = _neighbors(conc.bus_order, hybrid_edges(conc, tau1))
+    skeleton_adj = _neighbors(conc.bus_order, skeleton)
+    found = set()
+    for j in set(conc.bus_order) - non_leaf:
+        near = adj[j] & non_leaf
+        for i in near:
+            if skeleton_adj[i] == near - {i}:
+                found.add(tuple(sorted((i, j))))
     return found
 
 

@@ -622,3 +622,48 @@ def test_non_finite_file_exit_code(workdir, small, tmp_path, capsys, command):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["gen-grid", "--kind", "tree", "--buses", "6"], "missing"),
+        (["sample", "--n", "50"], "missing"),
+        (["estimate"], "missing"),
+        (["learn", "--alg", "sign", "--tau", "0.1"], "missing"),
+        (["detect", "--tau3", "0.1"], "missing"),
+        (["detect", "--n", "100", "--reps", "1"], "file"),
+        (["sweep", "--n", "100", "--reps", "1"], "file"),
+        (["threshold-sensitivity", "--n", "100", "--reps", "1"], "file"),
+    ],
+)
+def test_failed_write_exit_code(workdir, small, tmp_path, capsys, args, target):
+    # --out in a missing directory, or naming a file where a directory goes
+    grid_path, conc = workdir / "grid.json", str(small / "c.csv")
+    grid = load_grid(grid_path)
+    a, b = next(
+        (a, b) for a in grid.non_reference for b in grid.non_reference
+        if a < b and not grid.has_line(a, b)
+    )
+    save_grid(apply_line_event(grid, a, b, "add", r=0.1, x=0.2), tmp_path / "after.json")
+    detect_inputs = (
+        ["--before-conc", conc, "--after-conc", conc] if "--tau3" in args
+        else ["--before", str(grid_path), "--after", str(tmp_path / "after.json")]
+    )
+    inputs = {
+        "gen-grid": [],
+        "sample": ["--grid", str(grid_path)],
+        "estimate": ["--samples", str(small / "s.csv")],
+        "learn": ["--concentration", conc],
+        "detect": detect_inputs,
+        "sweep": ["--grid", str(grid_path)],
+        "threshold-sensitivity": ["--grid", str(grid_path)],
+    }
+    out = tmp_path / "absent" / "out.json"
+    if target == "file":
+        out = tmp_path / "taken"
+        out.write_text("")
+    code = main([args[0], *inputs[args[0]], *args[1:], "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err

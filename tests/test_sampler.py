@@ -696,14 +696,6 @@ class TestImportExport:
         expected = samples.samples - samples.samples.mean(axis=0)
         assert loaded.samples == pytest.approx(expected, abs=1e-15)
 
-    def test_differencing(self, tmp_path, path3):
-        lap = reduced_laplacians(path3)
-        samples = sample_voltages(lap, InjectionStatistics.uniform(2), 10, seed=1)
-        path = tmp_path / "samples.csv"
-        export_samples(samples, path)
-        loaded = import_samples(path, difference=True)
-        assert loaded.samples == pytest.approx(np.diff(samples.samples, axis=0))
-
     @pytest.mark.parametrize("offset", [-5, 2.5, "x", None, True])
     def test_sidecar_offset_must_be_a_non_negative_int(self, tmp_path, path3, offset):
         samples = sample_voltages(reduced_laplacians(path3), InjectionStatistics.uniform(2), 3, 1)
@@ -771,7 +763,6 @@ class TestImportExport:
         with pytest.raises(ValidationError, match="ragged"):
             import_samples(path)
 
-    @pytest.mark.filterwarnings("error")
     def test_header_only(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v_1,theta_1\r\n")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import witness_edges
+from _oracles import hybrid_edges, leaf_edges, witness_edges
 from conftest import random_stats
 from gridtopo.errors import ValidationError
 from gridtopo.estimator import (
@@ -25,10 +25,10 @@ from gridtopo.grid import (
 from gridtopo.sampler import InjectionStatistics, draw_covariance, sample_voltages
 from gridtopo.sweep import _concentration
 from gridtopo.topology import (
+    LEAF,
     NON_LEAF,
     UNRESOLVED,
     TopologyEstimate,
-    build_hybrid,
     learn_neighborhood,
     learn_sign_rule,
     score,
@@ -55,40 +55,11 @@ def analytic_for(grid, stats=None):
     return lap, stats, analytic_concentration(lap, stats)
 
 
-class TestBuildHybrid:
-    def test_saturating_threshold(self, path3):
-        _, _, conc = analytic_for(path3)
-        hybrid = build_hybrid(conc, tau1=1e9)
-        assert not hybrid.edges
-
-    def test_path3_single_edge(self, path3):
-        _, _, conc = analytic_for(path3, InjectionStatistics.uniform(2, 1.0))
-        gamma1, _ = gamma_thresholds(conc)
-        hybrid = build_hybrid(conc, gamma1 / 2)
-        assert hybrid.edges == frozenset({("1", "2")})
-
-    def test_cycle7_grid_matches_structure(self):
-        grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1)
-        lap, stats, conc = analytic_for(grid)
-        gamma1, _ = gamma_thresholds(conc)
-        hybrid = build_hybrid(conc, gamma1 / 2)
-        report = structure_report(grid)
-        expected = set(grid.scored_edges())
-        for bus, two_hops in report.two_hop.items():
-            for other in two_hops:
-                expected.add(tuple(sorted((bus, other))))
-        assert hybrid.edges == frozenset(expected)
-
-    def test_requires_positive_threshold(self, path3):
-        _, _, conc = analytic_for(path3)
-        with pytest.raises(ValidationError):
-            build_hybrid(conc, 0.0)
-
-
 def assert_witness_pass(grid, seed, sizes):
     """The learner's non-leaf edges are the hybrid edges the pairwise
-    oracle finds a witness for, on the analytic concentration and on
-    direct estimates from ``sizes`` samples, at three thresholds."""
+    oracle finds a witness for, and its other edges and leaves are those
+    of the oracle's leaf pass, on the analytic concentration and on direct
+    estimates from ``sizes`` samples, at three thresholds."""
     lap, stats, analytic = analytic_for(grid)
     gamma1, _ = gamma_thresholds(analytic)
     concs = [analytic]
@@ -101,10 +72,46 @@ def assert_witness_pass(grid, seed, sizes):
             estimate = learn_neighborhood(conc, tau1)
             non_leaf = {b for b, klass in estimate.node_class.items() if klass == NON_LEAF}
             learned = {edge for edge in estimate.edges if set(edge) <= non_leaf}
-            assert learned == witness_edges(build_hybrid(conc, tau1)), (conc.provenance, tau1)
+            assert learned == witness_edges(conc, tau1), (conc.provenance, tau1)
+            attached = leaf_edges(conc, tau1)
+            assert estimate.edges == learned | attached, (conc.provenance, tau1)
+            leaves = {b for b, klass in estimate.node_class.items() if klass == LEAF}
+            assert leaves == {b for edge in attached for b in edge} - non_leaf
 
 
 class TestNeighborhoodSearch:
+    def test_saturating_threshold_learns_nothing(self, path3):
+        _, _, conc = analytic_for(path3)
+        estimate = learn_neighborhood(conc, tau1=1e9)
+        assert not estimate.edges
+        assert set(estimate.node_class.values()) == {UNRESOLVED}
+
+    def test_path3_single_hybrid_edge(self, path3):
+        # the one hybrid edge has no common neighbours, so no witness
+        _, _, conc = analytic_for(path3, InjectionStatistics.uniform(2, 1.0))
+        gamma1, _ = gamma_thresholds(conc)
+        assert hybrid_edges(conc, gamma1 / 2) == {("1", "2")}
+        estimate = learn_neighborhood(conc, gamma1 / 2)
+        assert not estimate.edges
+        assert estimate.node_class == {"1": UNRESOLVED, "2": UNRESOLVED}
+
+    def test_cycle7_hybrid_is_grid_plus_two_hop(self):
+        grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1)
+        _, _, conc = analytic_for(grid)
+        gamma1, _ = gamma_thresholds(conc)
+        report = structure_report(grid)
+        expected = set(grid.scored_edges())
+        for bus, two_hops in report.two_hop.items():
+            for other in two_hops:
+                expected.add(tuple(sorted((bus, other))))
+        assert hybrid_edges(conc, gamma1 / 2) == expected
+
+    def test_requires_positive_threshold(self, path3):
+        _, _, conc = analytic_for(path3)
+        for tau1 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="tau1 must be positive"):
+                learn_neighborhood(conc, tau1)
+
     def test_cycle7_exact(self):
         grid = generate_grid("meshed", 56, loops=3, min_cycle=7, seed=1, min_non_leaves=3)
         _, _, conc = analytic_for(grid)
@@ -331,9 +338,12 @@ class TestUnsortedBusOrder:
         order = conc.bus_order
         gamma1, gamma2 = gamma_thresholds(analytic)
         tau1, tau2 = gamma1 * scale, gamma2 * scale
-        jvv, s = conc.j_vv, conc.sign_sum()
-        hybrid = build_hybrid(conc, tau1)
-        assert hybrid.edges == self.oracle(order, lambda i, j: abs(jvv[i, j]) > tau1)
+        s = conc.sign_sum()
+        neighborhood = learn_neighborhood(conc, tau1)
+        non_leaf = {b for b, klass in neighborhood.node_class.items() if klass == NON_LEAF}
+        learned = {edge for edge in neighborhood.edges if set(edge) <= non_leaf}
+        assert learned == witness_edges(conc, tau1)
         sign = learn_sign_rule(conc, tau2)
         assert sign.edges == self.oracle(order, lambda i, j: s[i, j] < -tau2)
-        assert self.has_index_reversed_key(order, hybrid.edges)
+        assert self.has_index_reversed_key(order, neighborhood.edges)
+        assert self.has_index_reversed_key(order, sign.edges)
