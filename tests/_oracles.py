@@ -5,7 +5,9 @@ objective is minimized by proximal gradient descent with backtracking on
 the precision matrix (no operator splitting, no dual variable, no
 eigendecomposition step), and the reference ADMM iteration takes its
 Theta-step by a matrix square root and thresholds entry by entry, where
-the solver uses an eigendecomposition and a vectorized clip. The noise
+the solver uses an eigendecomposition and a vectorized clip. The
+Hessian of the Newton finish is built entry by entry, where the solver
+gathers it from row blocks of the inverse. The noise
 deviation of the concentration matrix is evaluated by the Woodbury update
 instead of the difference of two inverses. The neighborhood search is
 rebuilt from bus-name sets in Python loops: the oracle takes the
@@ -122,6 +124,24 @@ def glasso_kkt_residual(precision, cov, lam):
             else:
                 residual = max(residual, abs(grad[i, j]) - lam)
     return float(residual)
+
+
+def face_hessian(w, rows, cols):
+    """Hessian of -log det P on the free entries (rows[a], cols[a]) of P.
+
+    Built entry by entry from W = inv(P) as W_ik W_jl + W_il W_jk for the
+    entries (i, j) and (k, l); a diagonal entry (k, k) appears once in P,
+    so its column is halved.
+    """
+    m = len(rows)
+    hessian = np.empty((m, m))
+    for a in range(m):
+        i, j = int(rows[a]), int(cols[a])
+        for b in range(m):
+            k, l = int(rows[b]), int(cols[b])
+            entry = float(w[i, k]) * float(w[j, l]) + float(w[i, l]) * float(w[j, k])
+            hessian[a, b] = entry * (0.5 if k == l else 1.0)
+    return hessian
 
 
 def _sqrtm_spd(b, sweeps=100):

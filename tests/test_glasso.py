@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    face_hessian,
     glasso_kkt_residual,
     penalized_objective,
     proximal_gradient_glasso,
@@ -195,7 +196,7 @@ class TestValidationAndErrors(InputLeg):
         z, _ = _admm(cov, lam, rho, *start, 7)
         assert excinfo.value.iterations == 7
         assert excinfo.value.gap == glasso._dual_gap(cov, z, lam)
-        assert f"KKT residual {glasso._kkt_residual(cov, checked, lam):.3e}," in str(excinfo.value)
+        assert f"KKT residual {glasso._kkt_residual(cov, checked, lam)[0]:.3e}," in str(excinfo.value)
 
     def test_zero_variance(self):
         cov = np.diag([1.0, 0.0, 2.0])
@@ -253,7 +254,7 @@ class TestNewtonFinish:
 
     def plain_admm(self, cov, lam, rho, tol):
         start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
-        return admm_until(cov, lam, rho, *start, tol, lambda z: glasso._kkt_residual(cov, z, lam))
+        return admm_until(cov, lam, rho, *start, tol, lambda z: glasso._kkt_residual(cov, z, lam)[0])
 
     @pytest.mark.parametrize("c", [0.5, 0.1])
     def test_fewer_iterations_same_optimum(self, c):
@@ -272,7 +273,7 @@ class TestNewtonFinish:
     def test_failed_finish_falls_back_to_admm(self, monkeypatch):
         tries = []
 
-        def failing(cov, lam, z, tol):
+        def failing(cov, lam, z, tol, inverse):
             tries.append(tol)
             return None, 1
 
@@ -285,6 +286,56 @@ class TestNewtonFinish:
         assert np.array_equal(conc.j, z)
         assert conc.meta["iterations"] == iterations
         assert conc.meta["kkt_residual"] == residual
+
+    def admm_iterate(self, c, iterations):
+        """The ADMM iterate after ``iterations`` steps, without a finish."""
+        cov, lam = self.problem(c)
+        rho = graphical_lasso(cov, lam).meta["rho"]
+        start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
+        z, _ = _admm(cov, lam, rho, *start, iterations)
+        return cov, lam, z
+
+    def test_hessian_matches_entrywise_oracle(self, monkeypatch):
+        cov, lam, z = self.admm_iterate(0.5, 40)
+        _, w = glasso._kkt_residual(cov, z, lam)
+        solve, inv = np.linalg.solve, np.linalg.inv
+        hessians, inverses = [], [w]
+
+        def recording_solve(a, b):
+            hessians.append(a.copy())
+            return solve(a, b)
+
+        def recording_inv(a):
+            inverses.append(inv(a))
+            return inverses[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        estimate, steps = _newton(cov, lam, z, 1e-6, w)
+        assert estimate is not None and steps == len(hessians) > 1
+        # Given the check's inverse, each iterate is inverted once, by its
+        # own KKT check, and the next step's Hessian comes from that inverse.
+        assert len(inverses) == steps + 1
+        p = len(z)
+        free = [(i, j) for i in range(p) for j in range(i, p) if i == j or z[i, j] != 0]
+        assert len(free) > p
+        rows, cols = np.array(free).T
+        for hessian, inverse in zip(hessians, inverses):
+            assert np.array_equal(hessian, face_hessian(inverse, rows, cols))
+
+    @pytest.mark.parametrize("iterations", [20, 40], ids=["sign-change", "converges"])
+    def test_handed_inverse_changes_nothing(self, iterations):
+        cov, lam, z = self.admm_iterate(0.5, iterations)
+        before = z.copy()
+        _, w = glasso._kkt_residual(cov, z, lam)
+        handed, handed_steps = _newton(cov, lam, z, 1e-6, w)
+        own, own_steps = _newton(cov, lam, z, 1e-6)
+        assert handed_steps == own_steps
+        if iterations == 20:
+            assert handed is own is None
+        else:
+            assert handed[0].tobytes() == own[0].tobytes() and handed[1] == own[1]
+        assert np.array_equal(z, before)
 
     def test_wrong_sign_support_fails(self):
         cov, lam = self.problem(0.5)
@@ -301,7 +352,7 @@ class TestNewtonFinish:
         assert estimate is not None and estimate[1] <= 1e-6
 
 
-class TestKernels:
+class TestOracleAgreement:
     def test_kernels_agree(self):
         cov = random_spd(10, seed=7, n_factor=3)
         lam = 0.03
@@ -368,6 +419,15 @@ class TestPythonKernel:
         assert_close(z, z_ref)
         assert_close(u, u_ref)
         assert np.array_equal(z0, before[0]) and np.array_equal(u0, before[1])
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_returns_new_arrays(self, steps):
+        # The iteration runs in place; the chunked driver relies on the
+        # buffers staying inside one call.
+        cov, z0, u0 = admm_problem(21, warm=True)
+        z, u = _admm(cov, 1e-3, admm_rho(cov, 1e-3), z0, u0, steps)
+        for a, b in [(z, z0), (z, u0), (z, cov), (u, z0), (u, u0), (u, cov), (z, u)]:
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("first, second", [(5, 5), (3, 4), (0, 7)])
     def test_chunks_compose(self, first, second):
