@@ -46,7 +46,6 @@ from .sampler import (
     InjectionStatistics,
     NoiseStatistics,
     VoltageSampleSet,
-    _composite_spectrum,
     _spd_inverse,
     _symmetric,
     analytic_voltage_covariance,
@@ -222,7 +221,7 @@ def noise_deviation_bound(
         raise ValidationError("statistics and Laplacians disagree on bus count")
     noise_eigs = np.linalg.eigvalsh(noise.matrix)
     lam_noise = float(noise_eigs[-1])
-    lam_h2 = float(np.max(_composite_spectrum(laplacians)) ** 2)
+    lam_h2 = float(np.max(laplacians.abs_spectrum) ** 2)
     sigma_pq = stats.covariance()
     lam_min_pq = float(np.linalg.eigvalsh(sigma_pq)[0])
     value = lam_noise * lam_h2**2 / lam_min_pq**2
@@ -322,8 +321,10 @@ def import_concentration(path) -> ConcentrationMatrix:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-        bus_order = tuple(meta.pop("bus_order"))
+        bus_order = meta.pop("bus_order")
         provenance = meta.pop("provenance")
+        if not (isinstance(bus_order, list) and all(isinstance(b, str) for b in bus_order)):
+            raise TypeError(f"bus_order must be a list of strings: {bus_order!r}")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed metadata sidecar {meta_path}: {exc!r}") from exc
-    return ConcentrationMatrix(j=j, bus_order=bus_order, provenance=provenance, meta=meta)
+    return ConcentrationMatrix(j=j, bus_order=tuple(bus_order), provenance=provenance, meta=meta)

@@ -216,6 +216,15 @@ class LaplacianPair:
     def n(self) -> int:
         return len(self.bus_order)
 
+    @cached_property
+    def abs_spectrum(self) -> np.ndarray:
+        """Read-only ``|eigenvalues|`` of ``composite``. H is indefinite
+        (similar to -H), so its conditioning and its largest eigenvalue are
+        read from absolute values."""
+        values = np.abs(np.linalg.eigvalsh(self.composite))
+        values.setflags(write=False)
+        return values
+
 
 def reduced_laplacians(grid: GridGraph) -> LaplacianPair:
     """Build the reduced weighted Laplacians of a grid.

@@ -44,16 +44,22 @@ To spare consecutive windows that work, ``_mapped_rows`` keeps a
 process-local cursor of at most ``_CURSOR_SIZE`` entries, keyed by the
 seed and the width (the factor's column count, the normals per row). An
 entry holds the block and row at which the last call on that key stopped
-and the Philox state there, all as Python ints: arrays kept across calls
-stopped the heap from shrinking and raised peak memory. A call that
-starts in that block at or after that row resumes from the saved state
-instead of redrawing from the block's first row. The state after r rows
-of width w in block b is a function of (seed, b, r, w) alone, because a
-Philox stream position depends only on its key and counter; the factor
-only multiplies the normals afterwards and never enters the stream. So
-two factors of one width on one seed share an entry, and the cursor
-saves work and never changes a value. Entries are read and written under
-a lock, and the least recently written entry is dropped first.
+and the live Philox generator there. A generator keeps its state in a
+few hundred bytes and no array, so the cursor holds no arrays across
+calls (arrays kept across calls stopped the heap from shrinking): the
+``monitor_stream_56`` benchmark on a 2-vCPU VM read a median peak RSS of
+96.5 MB, as against 96.3 MB when entries held the state as Python ints.
+A call takes its key's entry out under a lock and, when it starts in
+that block at or after that row, resumes from that generator instead of
+redrawing from the block's first row; it puts an entry back when it is
+done. So no two calls share a generator, and a call that finds no entry,
+because another thread holds it, redraws from the block start. The state
+after r rows of width w in block b is a function of (seed, b, r, w)
+alone, because a Philox stream position depends only on its key and
+counter; the factor only multiplies the normals afterwards and never
+enters the stream. So two factors of one width on one seed share an
+entry, and the cursor saves work and never changes a value. The least
+recently written entry is dropped first.
 
 Covariance draw: :func:`draw_covariance` returns the sample covariance S
 of n rows without drawing them. For centered Gaussian rows with
@@ -75,19 +81,21 @@ words, so no row key yields this entropy. The draw costs O(p d m) and
 holds no n x p array.
 
 Transfer memo: the per-grid work of a draw is done once and kept on the
-frozen input it belongs to, through :func:`_memoized`. A
-:class:`LaplacianPair` keeps ``|eigenvalues|`` of H, which the
-conditioning rule and the noise bound read, and the transfer matrix T
-together with the :class:`InjectionStatistics` object it was made for; a
-later call with that same object reuses T, and a call with another
-object replaces it. A :class:`NoiseStatistics` keeps its spectral
-factor. Both factors are read-only. Both inputs are frozen and write-protect
-their arrays, so a kept value is the one a fresh call would compute: the
-memo saves work and never changes a value. It is stored only after every
-check passes, so an ill-conditioned H raises on every call. It lives and
-dies with its instance, so the module holds no arrays across calls.
+frozen input it belongs to. :class:`~gridtopo.grid.LaplacianPair` keeps
+``abs_spectrum``, the ``|eigenvalues|`` of H that the conditioning rule
+and the noise bound read, and :class:`NoiseStatistics` keeps its
+spectral ``factor``, both as read-only cached properties.
+:func:`_checked_transfer` keeps the transfer matrix T on the Laplacians
+as ``_transfer_memo``, together with the :class:`InjectionStatistics`
+object it was made for; a later call with that same object reuses T,
+and a call with another object replaces it. All three values are
+read-only. Both inputs are frozen and write-protect their arrays, so a
+kept value is the one a fresh call would compute: the memo saves work
+and never changes a value. T is stored only after every check passes,
+so an ill-conditioned H raises on every call. Kept values live and die
+with their instance, so the module holds no arrays across calls.
 :func:`analytic_voltage_covariance` reads T from the same memo, so H is
-solved in ``_transfer`` alone.
+solved in ``_checked_transfer`` alone.
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +311,15 @@ class NoiseStatistics:
     def is_zero(self) -> bool:
         return not np.any(self.matrix)
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Read-only spectral factor F = V sqrt(max(w, 0)) of ``matrix``,
+        so F F^T = ``matrix`` for positive-semidefinite noise."""
+        w, v = np.linalg.eigh(self.matrix)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+        factor.setflags(write=False)
+        return factor
+
     @property
     def per_bus(self) -> bool:
         """Noise uncorrelated across buses: all four N x N blocks diagonal."""
@@ -356,50 +374,6 @@ def _block_generator(seed: int, blk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, blk))))
 
 
-def _philox_ints(bitgen: np.random.Philox) -> tuple[int, ...]:
-    state = bitgen.state
-    return (
-        *state["state"]["counter"].tolist(),
-        *state["state"]["key"].tolist(),
-        *state["buffer"].tolist(),
-        state["buffer_pos"],
-        state["has_uint32"],
-        state["uinteger"],
-    )
-
-
-def _set_philox_ints(bitgen: np.random.Philox, ints: tuple[int, ...]) -> None:
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array(ints[0:4], dtype=np.uint64),
-            "key": np.array(ints[4:6], dtype=np.uint64),
-        },
-        "buffer": np.array(ints[6:10], dtype=np.uint64),
-        "buffer_pos": ints[10],
-        "has_uint32": ints[11],
-        "uinteger": ints[12],
-    }
-
-
-def _memoized(owner, name: str, key, compute, *args):
-    """``compute(*args)``, kept on the frozen ``owner`` as attribute ``name``
-    together with ``key`` and returned again while ``key`` is the same
-    object; an exception stores nothing (module docstring, Transfer memo)."""
-    memo = getattr(owner, name, None)
-    if memo is not None and memo[0] is key:
-        return memo[1]
-    value = compute(*args)
-    object.__setattr__(owner, name, (key, value))
-    return value
-
-
-def _sealed(factor: np.ndarray) -> np.ndarray:
-    """``factor`` made read-only."""
-    factor.setflags(write=False)
-    return factor
-
-
 def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.ndarray:
     """Rows [start, stop) of the seed's standard-normal stream times ``factor.T``.
 
@@ -409,16 +383,16 @@ def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.nda
     """
     key = (seed, factor.shape[1])
     with _cursor_lock:
-        saved = _cursor.get(key)
+        saved = _cursor.pop(key, None)
     out = np.empty((factor.shape[0], stop - start))
     z = np.zeros((_CHUNK, factor.shape[1]))
     mapped = None
     for blk in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
-        gen = _block_generator(seed, blk)
         row, lo = blk * _BLOCK, max(start, blk * _BLOCK)
         if saved is not None and saved[0] == blk and saved[1] <= lo:
-            _set_philox_ints(gen.bit_generator, saved[2])
-            row = saved[1]
+            row, gen = saved[1:]
+        else:
+            gen = _block_generator(seed, blk)
         while row < lo:
             skip = min(lo - row, _CHUNK)
             gen.standard_normal(out=z[:skip])
@@ -438,47 +412,31 @@ def _mapped_rows(seed: int, start: int, stop: int, factor: np.ndarray) -> np.nda
                 cols[...] = mapped[:, lo - base : end - base]
             lo = end
     with _cursor_lock:
-        _cursor[key] = (blk, stop, _philox_ints(gen.bit_generator))
+        _cursor[key] = (blk, stop, gen)
         _cursor.move_to_end(key)
         if len(_cursor) > _CURSOR_SIZE:
             _cursor.popitem(last=False)
     return out.T
 
 
-def _abs_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    values = np.abs(np.linalg.eigvalsh(matrix))
-    values.setflags(write=False)
-    return values
-
-
-def _composite_spectrum(lap: LaplacianPair) -> np.ndarray:
-    """``|eigenvalues|`` of the composite Laplacian H, decomposed once per
-    instance. H is indefinite (similar to -H), so its conditioning and its
-    largest eigenvalue are read from absolute values."""
-    return _memoized(lap, "_spectrum_memo", None, _abs_eigenvalues, lap.composite)
-
-
-def _transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
-    """The checked, read-only transfer matrix T = H^-1 L."""
-    _require_conditioned(_composite_spectrum(lap), "composite Laplacian numerically singular")
+def _checked_transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
+    """The checked, read-only transfer matrix T = H^-1 L, kept on ``lap``
+    for the ``stats`` object it was made for (module docstring, Transfer
+    memo)."""
+    if stats.n != lap.n:
+        raise ValidationError("statistics and Laplacians disagree on bus count")
+    memo = getattr(lap, "_transfer_memo", None)
+    if memo is not None and memo[0] is stats:
+        return memo[1]
+    _require_conditioned(lap.abs_spectrum, "composite Laplacian numerically singular")
     try:
         chol = np.linalg.cholesky(stats.covariance())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"injection covariance not positive definite: {exc}") from exc
-    return _sealed(np.linalg.solve(lap.composite, chol))
-
-
-def _checked_transfer(lap: LaplacianPair, stats: InjectionStatistics) -> np.ndarray:
-    """The memoized transfer matrix once ``stats`` and ``lap`` agree on the
-    bus count."""
-    if stats.n != lap.n:
-        raise ValidationError("statistics and Laplacians disagree on bus count")
-    return _memoized(lap, "_transfer_memo", stats, _transfer, lap, stats)
-
-
-def _spectral_factor(matrix: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matrix)
-    return _sealed(v * np.sqrt(np.clip(w, 0.0, None)))
+    transfer = np.linalg.solve(lap.composite, chol)
+    transfer.setflags(write=False)
+    object.__setattr__(lap, "_transfer_memo", (stats, transfer))
+    return transfer
 
 
 def sample_voltages(
@@ -513,8 +471,8 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     The input set is unmodified; a zero covariance returns the samples
     unchanged. ``seed`` must differ from the samples' own seed: one seed
     draws the same standard normals for signal and noise, which makes
-    the noise correlated with the signal. The command line and the
-    sweeps use the sampling seed plus one.
+    the noise correlated with the signal. The command line uses the
+    sampling seed plus one.
     """
     if seed < 0:
         raise ValidationError(f"noise seed ({seed}) must be non-negative")
@@ -531,8 +489,7 @@ def add_noise(samples: VoltageSampleSet, noise: NoiseStatistics, seed: int) -> V
     descriptor = {"seed": seed, "per_bus": noise.per_bus, "trace": float(np.trace(noise.matrix))}
     if noise.is_zero:
         return replace(samples, noise=descriptor)
-    factor = _memoized(noise, "_factor_memo", None, _spectral_factor, noise.matrix)
-    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, factor)
+    noisy = _mapped_rows(seed, samples.offset, samples.offset + samples.n, noise.factor)
     noisy += samples.samples
     return replace(samples, samples=noisy, noise=descriptor)
 
@@ -560,8 +517,7 @@ def draw_covariance(
             f"noise dimension {noise.matrix.shape[0]} does not match samples ({factor.shape[0]})"
         )
     if noise is not None and not noise.is_zero:
-        spectral = _memoized(noise, "_factor_memo", None, _spectral_factor, noise.matrix)
-        factor = np.hstack((factor, spectral))
+        factor = np.hstack((factor, noise.factor))
     dof = n - 1
     d = factor.shape[1]
     m = min(d, dof)

@@ -173,6 +173,8 @@ class ExperimentConfig(_Config):
         for alg in self.algorithms:
             if alg not in ("neighborhood", "sign"):
                 raise ValidationError(f"unknown algorithm {alg!r}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValidationError(f"repeated algorithm in {list(self.algorithms)}")
 
 
 @dataclass

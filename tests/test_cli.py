@@ -413,6 +413,7 @@ def test_threshold_sensitivity_records_failing_cells(workdir, tmp_path):
             {"ridge": float("inf")},
             "lam and ridge must be nonnegative and finite",
         ),
+        (["sweep", "--grid", "GRID"], {"algorithms": ["sign", "sign"]}, "repeated algorithm"),
     ],
 )
 def test_config_error_exit_code(workdir, tmp_path, capsys, args, config, message):
@@ -477,6 +478,8 @@ def test_sweep_flags_set_config_fields():
         ("estimate", {"offset": "x"}),
         ("estimate", {"offset": None}),
         ("estimate", {"offset": True}),
+        # one character per bus: the 13 non-reference buses of the grid
+        ("learn", {"provenance": "direct", "bus_order": "abcdefghijklm"}),
     ],
 )
 def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):

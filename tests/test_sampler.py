@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,24 @@ class TestSampling:
             ("sampler.py", "_spd_inverse"),
         ]
 
+    def test_foreign_attributes_set_in_one_function(self):
+        # frozen instances keep derived values as cached properties; only
+        # the transfer memo, keyed by its statistics, is set from outside
+        owners = []
+        for path in Path(sampler.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "object.__setattr__"
+                        and ast.unparse(node.args[0]) != "self"
+                    ):
+                        owners.append((path.name, func.name))
+        assert owners == [("sampler.py", "_checked_transfer")]
+
     def test_monte_carlo_matches_analytic(self):
         grid = generate_grid("tree", 11, seed=13)
         lap = reduced_laplacians(grid)
@@ -341,8 +360,8 @@ class TestNoise:
 
         # two factors of one width on one seed share one cursor entry, which
         # holds only a stream position: interleaved windows stay exact
-        signal_factor = sampler._sealed(transfer(lap, stats))
-        noise_factor = sampler._spectral_factor(noise.matrix)
+        signal_factor = transfer(lap, stats)
+        noise_factor = noise.factor
         reference = block_reference(signal_factor, 2) + block_reference(noise_factor, 2)
         assert_windows(
             lambda n, offset: sampler._mapped_rows(2, offset, offset + n, signal_factor)
@@ -415,7 +434,7 @@ class TestCovarianceDraw:
         # Rebuilt entry by entry from the sampler docstring: chi-squares
         # for the diagonal first, then normals below it in row-major order.
         lap, stats, noise = model
-        factor = np.hstack((transfer(lap, stats), sampler._spectral_factor(noise.matrix)))
+        factor = np.hstack((transfer(lap, stats), noise.factor))
         for n in (5, 300):
             dof, d = n - 1, factor.shape[1]
             m = min(d, dof)
@@ -485,7 +504,7 @@ class TestCursor:
         # whole 4096-row blocks would draw about 6100 rows per window
         assert max(drawn[1:]) <= 2000 + 512, drawn
 
-    def test_interleaved_streams_evict_and_entries_hold_ints(self, meshed56):
+    def test_interleaved_streams_evict_and_entries_hold_no_arrays(self, meshed56):
         lap, stats = meshed56
         factor = transfer(lap, stats)
         seeds = range(sampler._CURSOR_SIZE + 2)
@@ -496,15 +515,55 @@ class TestCursor:
                 got = sample_voltages(lap, stats, 1500, seed, offset).samples
                 assert np.array_equal(got, references[seed][offset : offset + 1500])
         assert len(sampler._cursor) == sampler._CURSOR_SIZE
+        # a full cursor of live generators keeps no window's memory: one
+        # 2000-row window is 1.76 MB, the entries a few hundred bytes each
+        sampler._cursor.clear()
+        tracemalloc.start()
+        try:
+            for offset in range(0, 10000, 2000):
+                for seed in range(10):
+                    sample_voltages(lap, stats, 2000, seed, offset)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024, held
 
-        def leaves(value):
-            if isinstance(value, tuple):
-                return [leaf for item in value for leaf in leaves(item)]
-            return [value]
+    def test_a_live_generator_serves_one_call_at_a_time(self, meshed56, monkeypatch):
+        # a second call on the key while the first draws from the saved
+        # generator must not resume it; both windows stay exact
+        lap, stats = meshed56
+        make = sampler._block_generator
+        started, go = threading.Event(), threading.Event()
 
-        for key, entry in sampler._cursor.items():
-            assert {type(leaf) for leaf in leaves(key)} == {int}
-            assert {type(leaf) for leaf in leaves(entry)} == {int}
+        class Pausing:
+            def __init__(self, seed, blk):
+                self.gen = make(seed, blk)
+                self.bit_generator = self.gen.bit_generator
+
+            def standard_normal(self, out):
+                if threading.current_thread() is first and not started.is_set():
+                    started.set()
+                    assert go.wait(timeout=30)
+                return self.gen.standard_normal(out=out)
+
+        results = {}
+        first = threading.Thread(
+            target=lambda: results.update(first=sample_voltages(lap, stats, 1000, 12, 1000).samples)
+        )
+        monkeypatch.setattr(sampler, "_block_generator", Pausing)
+        sampler._cursor.clear()
+        expected = sample_voltages(lap, stats, 2000, 12).samples
+        sample_voltages(lap, stats, 1000, 12)
+        first.start()
+        try:
+            assert started.wait(timeout=30)
+            second = sample_voltages(lap, stats, 1000, 12, 1000).samples
+        finally:
+            go.set()
+            first.join(timeout=30)
+        assert not first.is_alive()
+        assert np.array_equal(second, expected[1000:])
+        assert np.array_equal(results["first"], expected[1000:])
 
     def test_threads_reading_windows_match_one_shot(self, meshed56):
         lap, stats = meshed56
@@ -621,12 +680,29 @@ class TestTransferMemo:
         lap = reduced_laplacians(path3)
         noise = NoiseStatistics.from_vectors([0.1, 0.2], [0.3, 0.1], [0.05, -0.02])
         eigh = count_calls(monkeypatch, "eigh", noise.matrix)
-        samples = sample_voltages(lap, InjectionStatistics.uniform(2), 50, seed=1)
+        stats = InjectionStatistics.uniform(2)
+        samples = sample_voltages(lap, stats, 50, seed=1)
         noisy = [add_noise(samples, noise, seed=2).samples for _ in range(5)]
+        covariances = [draw_covariance(lap, stats, 50, 3, noise) for _ in range(2)]
         assert len(eigh) == 1
         fresh = NoiseStatistics(matrix=noise.matrix.copy())
         for got in noisy:
             assert np.array_equal(got, add_noise(samples, fresh, seed=2).samples)
+        for got in covariances:
+            assert np.array_equal(got, draw_covariance(lap, stats, 50, 3, fresh))
+
+    def test_kept_values_are_read_only(self, path3):
+        lap = reduced_laplacians(path3)
+        noise = NoiseStatistics.from_vectors([0.1, 0.2], [0.3, 0.1])
+        for owner, name in ((lap, "abs_spectrum"), (noise, "factor")):
+            value = getattr(owner, name)
+            assert getattr(owner, name) is value
+            assert not value.flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(owner, name, value.copy())
+            with pytest.raises(AttributeError):
+                delattr(owner, name)
+            assert getattr(owner, name) is value
 
 
 class TestCorrelatedStats:
