@@ -159,6 +159,7 @@ class GridGraph:
         """Number of non-reference buses."""
         return len(self.buses) - 1
 
+    @cached_property
     def scored_edges(self) -> frozenset[tuple[str, str]]:
         """Edges between non-reference buses: the recoverable edge set.
 
@@ -367,14 +368,27 @@ def grid_from_dict(payload: dict) -> GridGraph:
     return GridGraph(buses=buses, reference=reference, lines=lines)
 
 
-def load_grid(path) -> GridGraph:
-    """Load a grid from its JSON file format."""
+def _read_grid_text(path) -> str:
+    """Text of the grid file at ``path``; an unreadable file raises ValidationError."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot parse grid file {path}: {exc}") from exc
+
+
+def _parse_grid(text: str, path) -> GridGraph:
+    """The grid that the text of the grid file at ``path`` describes."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"cannot parse grid file {path}: {exc}") from exc
     return grid_from_dict(payload)
+
+
+def load_grid(path) -> GridGraph:
+    """Load a grid from its JSON file format."""
+    return _parse_grid(_read_grid_text(path), path)
 
 
 def save_grid(grid: GridGraph, path) -> None:

@@ -655,6 +655,13 @@ def import_samples(
         if meta_path.exists():
             with open(meta_path) as fh:
                 meta = json.load(fh)
+        seed = meta.get("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ValidationError(f"seed must be a non-negative int: {seed!r}")
+        if not isinstance(meta.get("grid_sha256"), (str, type(None))):
+            raise ValidationError(f"grid_sha256 must be a string: {meta['grid_sha256']!r}")
+        if not isinstance(meta.get("noise"), (dict, type(None))):
+            raise ValidationError(f"noise must be an object: {meta['noise']!r}")
         return VoltageSampleSet(
             samples=data,
             bus_order=v_buses,

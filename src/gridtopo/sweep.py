@@ -24,6 +24,22 @@ learning for the row. Thresholds default to the half-gamma values from
 the analytic concentration matrix of the configured grid ("testing
 mode"), matching the practice of tuning thresholds once at large sample
 counts and then holding them fixed.
+
+Model memo: ``run_sweep``, ``threshold_sensitivity`` and ``replay_cell``
+read their per-grid model through ``_grid_model``: the grid, its
+Laplacians, the injection and noise statistics and the half-gamma
+thresholds. The process keeps the last model built, keyed by the grid
+file's text and the settings that shape the model (``sigma``,
+``sigma_pq``, ``epsilon`` and ``noise``), and a call with the same key
+reuses it; the estimator, its options, threshold overrides, seeds and
+sample sizes stay per call. The file is read on every call, so an
+edited file misses. The memo holds one entry, which the next miss drops
+before it builds, and a failed build stores nothing. A kept model is
+frozen, its arrays are read-only, and it is a pure function of its key,
+so a reused model is the one a fresh build would give: the memo saves
+work and never changes a value. Reusing the same statistics object also
+lets the sampler's transfer memo on the Laplacians hit. ``detect_sweep``
+reads two grids per call and builds its own.
 """
 
 from __future__ import annotations
@@ -51,7 +67,14 @@ from .estimator import (
     direct_concentration,
     gamma_thresholds,
 )
-from .grid import GridGraph, LaplacianPair, load_grid, reduced_laplacians
+from .grid import (
+    GridGraph,
+    LaplacianPair,
+    _parse_grid,
+    _read_grid_text,
+    load_grid,
+    reduced_laplacians,
+)
 from .sampler import (
     InjectionStatistics,
     NoiseStatistics,
@@ -348,16 +371,48 @@ def _attempt(fn, *args):
     return value, 1000 * (time.perf_counter() - t0), status
 
 
+# ((grid file text, model settings), model) of the last model that
+# ``_grid_model`` built, or None (module docstring, Model memo).
+_model_memo: tuple | None = None
+
+
+def _grid_model(path, sigma: float, sigma_pq: float, epsilon: float, noise: float) -> tuple:
+    """``(grid, lap, stats, noise, (tau1, tau2))`` of the grid file at
+    ``path``: the grid, its Laplacians, the injection and noise statistics
+    and the half-gamma thresholds, kept for the next call on the same file
+    text and settings (module docstring, Model memo)."""
+    global _model_memo
+    text = _read_grid_text(path)
+    # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal.
+    key = (text, *map(repr, (sigma, sigma_pq, epsilon, noise)))
+    memo = _model_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    # Drop the old model first, so that it and the new one never coexist.
+    _model_memo = memo = None
+    grid = _parse_grid(text, path)
+    lap = reduced_laplacians(grid)
+    stats = _injection_stats(grid, sigma, sigma_pq, epsilon)
+    model = (
+        grid,
+        lap,
+        stats,
+        _relative_noise(lap, stats, noise),
+        _half_gamma(lap, sigma, sigma_pq),
+    )
+    _model_memo = (key, model)
+    return model
+
+
 class _SweepContext:
     """Shared, deterministic per-grid quantities of a sweep."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.grid = load_grid(config.grid)
-        self.lap = reduced_laplacians(self.grid)
-        self.stats = _injection_stats(self.grid, config.sigma, config.sigma_pq, config.epsilon)
-        self.noise = _relative_noise(self.lap, self.stats, config.noise)
-        half1, half2 = _half_gamma(self.lap, config.sigma, config.sigma_pq)
+        model = _grid_model(
+            config.grid, config.sigma, config.sigma_pq, config.epsilon, config.noise
+        )
+        self.grid, self.lap, self.stats, self.noise, (half1, half2) = model
         self.tau1 = config.tau1 if config.tau1 is not None else half1
         self.tau2 = config.tau2 if config.tau2 is not None else half2
 

@@ -132,7 +132,7 @@ def score(estimate: TopologyEstimate, truth: GridGraph) -> float:
     """
     if set(estimate.node_class) != set(truth.non_reference):
         raise ValidationError("estimate and grid cover different bus sets")
-    true_edges = truth.scored_edges()
+    true_edges = truth.scored_edges
     if not true_edges:
         raise ValidationError("grid has no scorable (non-reference) edges")
     predicted = set(estimate.edges)

@@ -353,7 +353,7 @@ def test_c8_change_detection(detect33):
         else:
             g = nx.Graph((line.a, line.b) for line in grid.lines)
             bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
-            removable = sorted(grid.scored_edges() - bridges)
+            removable = sorted(grid.scored_edges - bridges)
             a, b = removable[int(rng.integers(0, len(removable)))]
             after = apply_line_event(grid, a, b, "remove")
             want = "removed"

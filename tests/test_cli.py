@@ -480,6 +480,15 @@ def test_sweep_flags_set_config_fields():
         ("estimate", {"offset": True}),
         # one character per bus: the 13 non-reference buses of the grid
         ("learn", {"provenance": "direct", "bus_order": "abcdefghijklm"}),
+        ("estimate", {"seed": "abc"}),
+        ("estimate", {"seed": -1}),
+        ("estimate", {"seed": 1.0}),
+        ("estimate", {"seed": True}),
+        ("estimate", {"grid_sha256": 5}),
+        ("estimate", {"grid_sha256": ["ab"]}),
+        ("estimate", {"noise": "loud"}),
+        ("estimate", {"noise": [0.1]}),
+        ("estimate", {"seed": "abc", "grid_sha256": 5, "noise": "loud"}),
     ],
 )
 def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):

@@ -42,7 +42,7 @@ def random_event(grid, rng):
         return "add", (a, b), apply_line_event(grid, a, b, "add", r=0.1, x=0.2)
     g = nx.Graph((line.a, line.b) for line in grid.lines)
     bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
-    removable = sorted(grid.scored_edges() - bridges)
+    removable = sorted(grid.scored_edges - bridges)
     if not removable:
         return None
     a, b = removable[int(rng.integers(0, len(removable)))]
@@ -74,10 +74,10 @@ class TestDiagonalDeltas:
     def test_removal_endpoints_negative(self):
         grid = generate_grid("meshed", 33, loops=3, min_cycle=4, seed=8)
         stats = InjectionStatistics.uniform(grid.n)
-        target = sorted(grid.scored_edges())[-1]
+        target = sorted(grid.scored_edges)[-1]
         g = nx.Graph((line.a, line.b) for line in grid.lines)
         bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
-        target = sorted(grid.scored_edges() - bridges)[0]
+        target = sorted(grid.scored_edges - bridges)[0]
         after = apply_line_event(grid, target[0], target[1], "remove")
         deltas = diagonal_deltas(analytic(grid, stats), analytic(after, stats))
         order = reduced_laplacians(grid).bus_order

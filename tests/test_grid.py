@@ -244,7 +244,7 @@ class TestLineEvents:
         grid = generate_grid("meshed", 33, loops=3, min_cycle=5, seed=2)
         # removing a cycle (non-bridge) edge keeps the grid connected
         bridges = {tuple(sorted(e)) for e in nx.bridges(to_nx(grid))}
-        target = sorted(grid.scored_edges() - bridges)[0]
+        target = sorted(grid.scored_edges - bridges)[0]
         changed = apply_line_event(grid, target[0], target[1], "remove")
         assert len(changed.lines) == len(grid.lines) - 1
 

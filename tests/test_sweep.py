@@ -1,12 +1,20 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
+import threading
+import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import glasso_kkt_residual
-from gridtopo import glasso
+import gridtopo
+from gridtopo import glasso, sweep
 from gridtopo.errors import ValidationError
 from gridtopo.estimator import ConcentrationMatrix, analytic_concentration, gamma_thresholds
 from gridtopo.generate import generate_grid
@@ -28,6 +36,13 @@ def small_grid_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("grids") / "grid14.json"
     grid = generate_grid("meshed", 14, loops=1, min_cycle=7, seed=2, min_non_leaves=3)
     save_grid(grid, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def other_grid_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grids") / "grid12.json"
+    save_grid(generate_grid("meshed", 12, loops=1, min_cycle=4, seed=6), path)
     return str(path)
 
 
@@ -366,3 +381,162 @@ class TestDetectSweep:
         config = DetectConfig(before=before, after=str(tmp_path / "after2.json"), sample_sizes=(100,))
         with pytest.raises(ValidationError, match="exactly one line"):
             detect_sweep(config)
+
+
+def _strip(rows):
+    """Rows without the wall-clock ``runtime_ms`` column."""
+    return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
+
+
+def _fresh_rows(monkeypatch, fn, *args):
+    """``fn(*args)``'s rows from a model built for the call."""
+    monkeypatch.setattr(sweep, "_model_memo", None)
+    return _strip(fn(*args).rows)
+
+
+class TestModelMemo:
+    def test_second_sweep_rebuilds_nothing(self, small_grid_path, monkeypatch):
+        composite = reduced_laplacians(load_grid(small_grid_path)).composite
+        calls = {"reduced_laplacians": 0, "eigvalsh": 0, "solve": 0}
+
+        def counted(name, fn, on_composite):
+            def wrapper(a, *args, **kwargs):
+                if not on_composite or np.array_equal(a, composite):
+                    calls[name] += 1
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sweep, "_model_memo", None)
+        monkeypatch.setattr(
+            sweep, "reduced_laplacians", counted("reduced_laplacians", reduced_laplacians, False)
+        )
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh, True))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve, True))
+        config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400, 2000), seed=3)
+        first = run_sweep(config)
+        assert calls == {"reduced_laplacians": 1, "eigvalsh": 1, "solve": 1}
+        second = run_sweep(config)
+        assert calls == {"reduced_laplacians": 1, "eigvalsh": 1, "solve": 1}
+        assert _strip(second.rows) == _strip(first.rows)
+
+    def test_rewritten_file_gives_fresh_rows(
+        self, small_grid_path, other_grid_path, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "grid.json"
+        config = ExperimentConfig(grid=str(path), sample_sizes=(400,), repetitions=2, seed=3)
+        path.write_text(Path(small_grid_path).read_text())
+        before = _strip(run_sweep(config).rows)
+        path.write_text(Path(other_grid_path).read_text())
+        after = _strip(run_sweep(config).rows)
+        assert after == _fresh_rows(monkeypatch, run_sweep, config)
+        path.write_text(Path(small_grid_path).read_text())
+        assert _strip(run_sweep(config).rows) == before != after
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"sigma": 2e-2},
+            {"sigma_pq": 1e-3},
+            {"epsilon": 0.05},
+            {"noise": 0.01},
+            {"sigma_pq": -0.0},
+        ],
+    )
+    def test_each_model_setting_misses(self, small_grid_path, monkeypatch, change):
+        config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=2, seed=3)
+        monkeypatch.setattr(sweep, "_model_memo", None)
+        run_sweep(config)
+        model = sweep._model_memo[1]
+        run_sweep(replace(config, seed=4, estimator="glasso", tau1=1e-3, algorithms=("sign",)))
+        assert sweep._model_memo[1] is model
+        changed = replace(config, **change)
+        rows = _strip(run_sweep(changed).rows)
+        assert sweep._model_memo[1] is not model
+        assert rows == _fresh_rows(monkeypatch, run_sweep, changed)
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "bad-json"])
+    def test_failed_build_raises_as_load_grid_and_keeps_nothing(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "grid.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValidationError) as expected:
+            load_grid(str(path))
+        monkeypatch.setattr(sweep, "_model_memo", None)
+        config = ExperimentConfig(grid=str(path), sample_sizes=(400,))
+        for fn, args in [(run_sweep, ()), (threshold_sensitivity, ((1.0,),))]:
+            with pytest.raises(ValidationError) as got:
+                fn(config, *args)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("cannot parse grid file")
+            assert sweep._model_memo is None
+
+    def test_one_entry(self, small_grid_path, other_grid_path):
+        run_sweep(ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=1))
+        first = weakref.ref(sweep._model_memo[1][1])
+        run_sweep(ExperimentConfig(grid=other_grid_path, sample_sizes=(400,), repetitions=1))
+        assert first() is None
+
+    def test_threads_on_two_grids_give_serial_rows(
+        self, small_grid_path, other_grid_path, monkeypatch
+    ):
+        configs = [
+            ExperimentConfig(
+                grid=path, sample_sizes=(400, 2000), repetitions=2, seed=5, noise=0.01
+            )
+            for path in (small_grid_path, other_grid_path)
+        ]
+        serial = [_fresh_rows(monkeypatch, run_sweep, config) for config in configs]
+        results = [[] for _ in configs]
+
+        def work(k):
+            for _ in range(4):
+                results[k].append(_strip(run_sweep(configs[k]).rows))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [[rows] * 4 for rows in serial]
+
+    def test_calls_in_one_process_match_fresh_processes(self, small_grid_path):
+        # Each call of the chain runs once here, with the model kept from the
+        # call before, and once in its own interpreter, with a fresh model.
+        fields = dict(
+            grid=small_grid_path, sample_sizes=(400, 2000), repetitions=2, seed=7, noise=0.01
+        )
+        config = ExperimentConfig(**fields)
+        rows = _strip(run_sweep(config).rows)
+        scaled = _strip(threshold_sensitivity(config, (0.5, 1.0)).rows)
+        cells = [(r["sample_size"], r["seed"], r["algorithm"]) for r in rows]
+        replayed = [replay_cell(config, *cell) for cell in cells]
+        assert replayed == [r["error_ratio"] for r in rows]
+        code = (
+            "import json, sys\n"
+            "from gridtopo.sweep import (\n"
+            "    ExperimentConfig, replay_cell, run_sweep, threshold_sensitivity\n"
+            ")\n"
+            "step, fields, cells = json.loads(sys.argv[1])\n"
+            "config = ExperimentConfig(**fields)\n"
+            "if step == 'sweep':\n"
+            "    out = run_sweep(config).rows\n"
+            "elif step == 'sensitivity':\n"
+            "    out = threshold_sensitivity(config, (0.5, 1.0)).rows\n"
+            "else:\n"
+            "    out = [replay_cell(config, *cell) for cell in cells]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(gridtopo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh = {}
+        for step in ("sweep", "sensitivity", "replay"):
+            arg = json.dumps([step, fields, cells])
+            out = subprocess.run(
+                [sys.executable, "-c", code, arg], env=env, capture_output=True, text=True
+            )
+            assert out.returncode == 0, out.stderr
+            fresh[step] = json.loads(out.stdout)
+        assert _strip(fresh["sweep"]) == rows
+        assert _strip(fresh["sensitivity"]) == scaled
+        assert fresh["replay"] == replayed

@@ -100,7 +100,7 @@ class TestNeighborhoodSearch:
         _, _, conc = analytic_for(grid)
         gamma1, _ = gamma_thresholds(conc)
         report = structure_report(grid)
-        expected = set(grid.scored_edges())
+        expected = set(grid.scored_edges)
         for bus, two_hops in report.two_hop.items():
             for other in two_hops:
                 expected.add(tuple(sorted((bus, other))))
@@ -217,7 +217,7 @@ class TestSignRule:
         idx = {b: k for k, b in enumerate(conc.bus_order)}
         report = structure_report(grid)
         floor = NUMERIC_ZERO_FLOOR * np.abs(s).max()
-        true_edges = grid.scored_edges()
+        true_edges = grid.scored_edges
         two_hop_pairs = {
             tuple(sorted((a, b)))
             for a, hops in report.two_hop.items()
@@ -261,12 +261,12 @@ class TestScore:
 
     def test_perfect(self):
         grid = generate_grid("tree", 12, seed=0)
-        estimate = self._estimate(grid.scored_edges(), grid.non_reference)
+        estimate = self._estimate(grid.scored_edges, grid.non_reference)
         assert score(estimate, grid) == 0.0
 
     def test_one_false_one_missed(self):
         grid = generate_grid("path", 12, seed=0)  # 10 scorable edges
-        true_edges = sorted(grid.scored_edges())
+        true_edges = sorted(grid.scored_edges)
         assert len(true_edges) == 10
         edges = set(true_edges[:-1])  # drop one
         edges.add((grid.non_reference[0], grid.non_reference[5]))  # add one
