@@ -37,6 +37,8 @@ __all__ = [
     "load_grid",
     "save_grid",
     "grid_from_dict",
+    "grid_from_json",
+    "read_grid_file",
 ]
 
 
@@ -368,17 +370,19 @@ def grid_from_dict(payload: dict) -> GridGraph:
     return GridGraph(buses=buses, reference=reference, lines=lines)
 
 
-def _read_grid_text(path) -> str:
-    """Text of the grid file at ``path``; an unreadable file raises ValidationError."""
+def read_grid_file(path) -> str:
+    """Text of the grid file at ``path``; an unreadable file raises
+    ValidationError. The first half of :func:`load_grid`."""
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot parse grid file {path}: {exc}") from exc
 
 
-def _parse_grid(text: str, path) -> GridGraph:
-    """The grid that the text of the grid file at ``path`` describes."""
+def grid_from_json(text: str, path) -> GridGraph:
+    """The grid that ``text``, read from the grid file at ``path``,
+    describes. The second half of :func:`load_grid`."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -388,7 +392,7 @@ def _parse_grid(text: str, path) -> GridGraph:
 
 def load_grid(path) -> GridGraph:
     """Load a grid from its JSON file format."""
-    return _parse_grid(_read_grid_text(path), path)
+    return grid_from_json(read_grid_file(path), path)
 
 
 def save_grid(grid: GridGraph, path) -> None:

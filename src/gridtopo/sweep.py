@@ -28,23 +28,30 @@ counts and then holding them fixed.
 Model memo: ``run_sweep``, ``threshold_sensitivity`` and ``replay_cell``
 read their per-grid model through ``_grid_model``: the grid, its
 Laplacians, the injection and noise statistics and the half-gamma
-thresholds. The process keeps the last model built, keyed by the grid
-file's text and the settings that shape the model (``sigma``,
-``sigma_pq``, ``epsilon`` and ``noise``), and a call with the same key
-reuses it; the estimator, its options, threshold overrides, seeds and
-sample sizes stay per call. The file is read on every call, so an
-edited file misses. The memo holds one entry, which the next miss drops
-before it builds, and a failed build stores nothing. A kept model is
-frozen, its arrays are read-only, and it is a pure function of its key,
-so a reused model is the one a fresh build would give: the memo saves
-work and never changes a value. Reusing the same statistics object also
-lets the sampler's transfer memo on the Laplacians hit. ``detect_sweep``
-reads two grids per call and builds its own.
+thresholds. ``_built_model``, a ``functools.lru_cache`` of one entry,
+keeps the last model built, keyed by the grid file's text and path and
+the settings that shape the model (``sigma``, ``sigma_pq``, ``epsilon``
+and ``noise``, by value and by repr); the estimator, its options,
+threshold overrides, seeds and sample sizes stay per call. The file is
+read on every call, so an edited file misses. A failed build is not
+kept. A kept model is frozen, its arrays are read-only, and it is a
+pure function of its key, so a reused model is the one a fresh build
+would give: the memo saves work and never changes a value. Reusing the
+same statistics object also lets the sampler's transfer memo on the
+Laplacians hit. The memo pays only where one process calls again on the
+same file and settings (tests, a notebook, a benchmark that runs one
+cell per call); a single ``gridtopo sweep`` builds its model once
+either way. The kept model stays resident until a call on another file
+or other settings replaces it, or ``_built_model.cache_clear()``: its
+arrays are O(N^2) for N non-reference buses, 0.23 MB at 56 buses and
+12 MB at 400, and during the build that replaces it both are held.
+``detect_sweep`` reads two grids per call and builds its own.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import platform
@@ -70,9 +77,9 @@ from .estimator import (
 from .grid import (
     GridGraph,
     LaplacianPair,
-    _parse_grid,
-    _read_grid_text,
+    grid_from_json,
     load_grid,
+    read_grid_file,
     reduced_laplacians,
 )
 from .sampler import (
@@ -371,37 +378,24 @@ def _attempt(fn, *args):
     return value, 1000 * (time.perf_counter() - t0), status
 
 
-# ((grid file text, model settings), model) of the last model that
-# ``_grid_model`` built, or None (module docstring, Model memo).
-_model_memo: tuple | None = None
-
-
-def _grid_model(path, sigma: float, sigma_pq: float, epsilon: float, noise: float) -> tuple:
+def _grid_model(path, *settings) -> tuple:
     """``(grid, lap, stats, noise, (tau1, tau2))`` of the grid file at
-    ``path``: the grid, its Laplacians, the injection and noise statistics
-    and the half-gamma thresholds, kept for the next call on the same file
-    text and settings (module docstring, Model memo)."""
-    global _model_memo
-    text = _read_grid_text(path)
+    ``path`` under ``settings`` (``sigma``, ``sigma_pq``, ``epsilon``,
+    ``noise``): the grid, its Laplacians, the injection and noise
+    statistics and the half-gamma thresholds (module docstring, Model memo)."""
     # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal.
-    key = (text, *map(repr, (sigma, sigma_pq, epsilon, noise)))
-    memo = _model_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    # Drop the old model first, so that it and the new one never coexist.
-    _model_memo = memo = None
-    grid = _parse_grid(text, path)
+    return _built_model(read_grid_file(path), path, tuple(map(repr, settings)), *settings)
+
+
+@functools.lru_cache(maxsize=1)
+def _built_model(text, path, _reprs, sigma, sigma_pq, epsilon, noise) -> tuple:
+    """The model of :func:`_grid_model`, built from the file's ``text``;
+    ``_reprs``, the settings' reprs, only keys the cache."""
+    grid = grid_from_json(text, path)
     lap = reduced_laplacians(grid)
     stats = _injection_stats(grid, sigma, sigma_pq, epsilon)
-    model = (
-        grid,
-        lap,
-        stats,
-        _relative_noise(lap, stats, noise),
-        _half_gamma(lap, sigma, sigma_pq),
-    )
-    _model_memo = (key, model)
-    return model
+    noise_stats = _relative_noise(lap, stats, noise)
+    return grid, lap, stats, noise_stats, _half_gamma(lap, sigma, sigma_pq)
 
 
 class _SweepContext:

@@ -384,6 +384,14 @@ def test_missing_grid_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_undecodable_grid_exit_code(tmp_path, capsys):
+    grid = tmp_path / "bad.json"
+    grid.write_bytes(b'{"buses": ["\xff"]}')
+    code = main(["sweep", "--grid", str(grid), "--n", "50", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "cannot parse grid file" in capsys.readouterr().err
+
+
 def test_threshold_sensitivity_records_failing_cells(workdir, tmp_path):
     # A singular covariance (no ridge, fewer samples than variables) fails
     # every estimate; each failure is a row, as in the sample-size sweep.

@@ -109,6 +109,12 @@ class TestFileFormat:
         with pytest.raises(ValidationError, match="cannot parse"):
             load_grid(bad)
 
+    def test_undecodable_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"buses": ["\xff"]}')
+        with pytest.raises(ValidationError, match="cannot parse"):
+            load_grid(bad)
+
     def test_missing_keys(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"buses": ["0", "1"]}))

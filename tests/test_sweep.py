@@ -388,10 +388,16 @@ def _strip(rows):
     return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
 
 
-def _fresh_rows(monkeypatch, fn, *args):
+def _fresh_rows(fn, *args):
     """``fn(*args)``'s rows from a model built for the call."""
-    monkeypatch.setattr(sweep, "_model_memo", None)
+    sweep._built_model.cache_clear()
     return _strip(fn(*args).rows)
+
+
+def _model(config):
+    """The model that sweeps of ``config`` read."""
+    settings = (config.sigma, config.sigma_pq, config.epsilon, config.noise)
+    return sweep._grid_model(config.grid, *settings)
 
 
 class TestModelMemo:
@@ -407,7 +413,7 @@ class TestModelMemo:
 
             return wrapper
 
-        monkeypatch.setattr(sweep, "_model_memo", None)
+        sweep._built_model.cache_clear()
         monkeypatch.setattr(
             sweep, "reduced_laplacians", counted("reduced_laplacians", reduced_laplacians, False)
         )
@@ -420,16 +426,14 @@ class TestModelMemo:
         assert calls == {"reduced_laplacians": 1, "eigvalsh": 1, "solve": 1}
         assert _strip(second.rows) == _strip(first.rows)
 
-    def test_rewritten_file_gives_fresh_rows(
-        self, small_grid_path, other_grid_path, tmp_path, monkeypatch
-    ):
+    def test_rewritten_file_gives_fresh_rows(self, small_grid_path, other_grid_path, tmp_path):
         path = tmp_path / "grid.json"
         config = ExperimentConfig(grid=str(path), sample_sizes=(400,), repetitions=2, seed=3)
         path.write_text(Path(small_grid_path).read_text())
         before = _strip(run_sweep(config).rows)
         path.write_text(Path(other_grid_path).read_text())
         after = _strip(run_sweep(config).rows)
-        assert after == _fresh_rows(monkeypatch, run_sweep, config)
+        assert after == _fresh_rows(run_sweep, config)
         path.write_text(Path(small_grid_path).read_text())
         assert _strip(run_sweep(config).rows) == before != after
 
@@ -443,62 +447,68 @@ class TestModelMemo:
             {"sigma_pq": -0.0},
         ],
     )
-    def test_each_model_setting_misses(self, small_grid_path, monkeypatch, change):
+    def test_each_model_setting_misses(self, small_grid_path, change):
         config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=2, seed=3)
-        monkeypatch.setattr(sweep, "_model_memo", None)
+        sweep._built_model.cache_clear()
         run_sweep(config)
-        model = sweep._model_memo[1]
         run_sweep(replace(config, seed=4, estimator="glasso", tau1=1e-3, algorithms=("sign",)))
-        assert sweep._model_memo[1] is model
+        assert sweep._built_model.cache_info()[:2] == (1, 1)  # (hits, misses)
         changed = replace(config, **change)
         rows = _strip(run_sweep(changed).rows)
-        assert sweep._model_memo[1] is not model
-        assert rows == _fresh_rows(monkeypatch, run_sweep, changed)
+        assert sweep._built_model.cache_info()[:2] == (1, 2)
+        assert rows == _fresh_rows(run_sweep, changed)
 
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "bad-json"])
-    def test_failed_build_raises_as_load_grid_and_keeps_nothing(self, tmp_path, monkeypatch, text):
+    def test_failed_build_raises_as_load_grid_and_keeps_nothing(self, tmp_path, text):
         path = tmp_path / "grid.json"
         if text is not None:
             path.write_text(text)
         with pytest.raises(ValidationError) as expected:
             load_grid(str(path))
-        monkeypatch.setattr(sweep, "_model_memo", None)
+        sweep._built_model.cache_clear()
         config = ExperimentConfig(grid=str(path), sample_sizes=(400,))
         for fn, args in [(run_sweep, ()), (threshold_sensitivity, ((1.0,),))]:
             with pytest.raises(ValidationError) as got:
                 fn(config, *args)
             assert str(got.value) == str(expected.value)
             assert str(got.value).startswith("cannot parse grid file")
-            assert sweep._model_memo is None
+            assert sweep._built_model.cache_info().currsize == 0
 
     def test_one_entry(self, small_grid_path, other_grid_path):
-        run_sweep(ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=1))
-        first = weakref.ref(sweep._model_memo[1][1])
+        config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=1)
+        run_sweep(config)
+        first = weakref.ref(_model(config)[1])
         run_sweep(ExperimentConfig(grid=other_grid_path, sample_sizes=(400,), repetitions=1))
         assert first() is None
 
-    def test_threads_on_two_grids_give_serial_rows(
-        self, small_grid_path, other_grid_path, monkeypatch
-    ):
+    def test_threads_on_two_grids_give_serial_rows(self, small_grid_path, other_grid_path):
         configs = [
             ExperimentConfig(
                 grid=path, sample_sizes=(400, 2000), repetitions=2, seed=5, noise=0.01
             )
             for path in (small_grid_path, other_grid_path)
         ]
-        serial = [_fresh_rows(monkeypatch, run_sweep, config) for config in configs]
-        results = [[] for _ in configs]
+        serial = [_fresh_rows(run_sweep, config) for config in configs]
+        # Four threads, two per grid, on a short switch interval, so that
+        # calls on the two grids interleave inside the one-entry memo.
+        results = [[] for _ in range(4)]
 
         def work(k):
             for _ in range(4):
-                results[k].append(_strip(run_sweep(configs[k]).rows))
+                results[k].append(_strip(run_sweep(configs[k % 2]).rows))
 
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results == [[rows] * 4 for rows in serial]
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[serial[k % 2]] * 4 for k in range(4)]
 
     def test_calls_in_one_process_match_fresh_processes(self, small_grid_path):
         # Each call of the chain runs once here, with the model kept from the
