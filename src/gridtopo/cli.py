@@ -20,16 +20,14 @@ from .detect import detect_change, export_report
 from .errors import NumericalError, ValidationError
 from .estimator import export_concentration, import_concentration, sample_covariance
 from .generate import generate_grid
-from .grid import load_grid, reduced_laplacians, save_grid, structure_report
+from .grid import load_grid, save_grid, structure_report
 from .sampler import add_noise, export_samples, import_samples, sample_voltages
 from .sweep import (
     DetectConfig,
     ExperimentConfig,
     _concentration,
-    _half_gamma,
-    _injection_stats,
+    _grid_model,
     _learn,
-    _relative_noise,
     detect_sweep,
     run_sweep,
     threshold_sensitivity,
@@ -96,14 +94,11 @@ def cmd_gen_grid(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    grid = load_grid(args.grid)
-    lap = reduced_laplacians(grid)
-    stats = _injection_stats(grid, args.sigma, args.sigma_pq, args.epsilon)
-    noise = _relative_noise(lap, stats, args.noise)
-    samples = sample_voltages(lap, stats, args.n, args.seed, offset=args.offset)
-    if noise is not None:
-        samples = add_noise(samples, noise, args.seed + 1)
-    samples = replace(samples, grid_sha256=grid.sha256)
+    model = _grid_model(args.grid, args.sigma, args.sigma_pq, args.epsilon, args.noise)
+    samples = sample_voltages(model.lap, model.stats, args.n, args.seed, offset=args.offset)
+    if model.noise is not None:
+        samples = add_noise(samples, model.noise, args.seed + 1)
+    samples = replace(samples, grid_sha256=model.grid.sha256)
     export_samples(samples, args.out)
     print(f"wrote {args.out}: {samples.n} samples x {samples.samples.shape[1]} columns")
     return 0
@@ -129,12 +124,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_learn(args) -> int:
     conc = import_concentration(args.concentration)
-    truth = load_grid(args.truth) if args.truth else None
     neighborhood = args.alg == "neighborhood"
-    tau = args.tau
-    if tau is None and truth is not None:
-        half = _half_gamma(reduced_laplacians(truth), args.sigma, args.sigma_pq)
-        tau = half[0 if neighborhood else 1]
+    tau, truth = args.tau, None
+    if args.truth and tau is None:
+        # epsilon and noise 0, as `sample` at its defaults: the two share a model.
+        model = _grid_model(args.truth, args.sigma, args.sigma_pq, 0.0, 0.0)
+        truth, tau = model.grid, model.half_gammas[0 if neighborhood else 1]
+    elif args.truth:
+        truth = load_grid(args.truth)
     if tau is None:
         # Cut at the largest gap of the off-diagonal statistic.
         off = ~np.eye(conc.n, dtype=bool)

@@ -25,27 +25,29 @@ the analytic concentration matrix of the configured grid ("testing
 mode"), matching the practice of tuning thresholds once at large sample
 counts and then holding them fixed.
 
-Model memo: ``run_sweep``, ``threshold_sensitivity`` and ``replay_cell``
-read their per-grid model through ``_grid_model``: the grid, its
-Laplacians, the injection and noise statistics and the half-gamma
-thresholds. ``_built_model``, a ``functools.lru_cache`` of one entry,
-keeps the last model built, keyed by the grid file's text and path and
-the settings that shape the model (``sigma``, ``sigma_pq``, ``epsilon``
-and ``noise``, by value and by repr); the estimator, its options,
-threshold overrides, seeds and sample sizes stay per call. The file is
-read on every call, so an edited file misses. A failed build is not
-kept. A kept model is frozen, its arrays are read-only, and it is a
-pure function of its key, so a reused model is the one a fresh build
-would give: the memo saves work and never changes a value. Reusing the
-same statistics object also lets the sampler's transfer memo on the
-Laplacians hit. The memo pays only where one process calls again on the
-same file and settings (tests, a notebook, a benchmark that runs one
-cell per call); a single ``gridtopo sweep`` builds its model once
-either way. The kept model stays resident until a call on another file
-or other settings replaces it, or ``_built_model.cache_clear()``: its
-arrays are O(N^2) for N non-reference buses, 0.23 MB at 56 buses and
-12 MB at 400, and during the build that replaces it both are held.
-``detect_sweep`` reads two grids per call and builds its own.
+Model memo: ``_grid_model`` is the one builder of a grid file's model
+(``_GridModel``: the grid, its Laplacians, the injection and noise
+statistics, and on demand the analytic J under uncorrelated injections
+and its half-gamma thresholds). ``run_sweep``, ``threshold_sensitivity``,
+``replay_cell``, ``detect_sweep`` and the cli's ``sample`` and ``learn
+--truth`` read it. ``_built_model``, a ``functools.lru_cache`` of one
+entry, keeps the last model built, keyed by the grid file's text and
+path and ``sigma``, ``sigma_pq``, ``epsilon`` and ``noise`` (by value
+and by repr); estimator options, thresholds, seeds and sample sizes stay
+per call. The file is read on every call, so an edited file misses; a
+failed build is not kept. A kept model is frozen with read-only arrays,
+computes J and the thresholds at most once, and is a pure function of
+its key, so the memo saves work and never changes a value; reusing the
+statistics object also lets the sampler's transfer memo hit. It pays
+only where one process calls again on the same file and settings: tests,
+a notebook, a benchmark that runs one cell per call, or ``sample`` then
+``learn --truth`` at their defaults, which share an entry. One
+``gridtopo`` command builds its model once either way, and a detect call
+builds two (before and after), so the entry never hits across detect
+calls. The kept model stays resident until another file or settings
+replace it, or ``_built_model.cache_clear()``: its arrays are O(N^2) for
+N non-reference buses, 0.23 MB at 56 buses and 12 MB at 400, and both
+are held while its replacement is built.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .grid import (
     GridGraph,
     LaplacianPair,
     grid_from_json,
-    load_grid,
     read_grid_file,
     reduced_laplacians,
 )
@@ -295,24 +296,6 @@ def _cells(config, n_indices):
             yield n_index, config.sample_sizes[n_index], rep, seed
 
 
-def _injection_stats(grid: GridGraph, sigma: float, sigma_pq: float, epsilon: float = 0.0):
-    """Uniform injection statistics, correlated along lines when ``epsilon``
-    is nonzero."""
-    stats = InjectionStatistics.uniform(grid.n, variance=sigma, sigma_pq=sigma_pq)
-    return make_correlated_stats(grid, stats, epsilon) if epsilon else stats
-
-
-def _relative_noise(lap, stats: InjectionStatistics, level: float):
-    """Measurement noise at ``level`` times each coordinate's analytic signal
-    variance, or None when ``level`` is zero."""
-    if not level >= 0:
-        raise ValidationError("noise level must be nonnegative")
-    if level == 0:
-        return None
-    signal_var = np.diag(analytic_voltage_covariance(lap, stats))
-    return NoiseStatistics.relative(signal_var, level)
-
-
 def _reject_ignored(estimator, **options):
     """Raise ValidationError on a non-None option that ``estimator`` does not take."""
     taken = _ESTIMATOR_OPTIONS[estimator]
@@ -345,16 +328,6 @@ def _concentration(cov, n, bus_order, estimator="direct", lam=None, ridge=None, 
     return direct_concentration(cov, ridge, bus_order=bus_order)
 
 
-def _half_gamma(lap: LaplacianPair, sigma: float, sigma_pq: float) -> tuple[float, float]:
-    """Half the gamma thresholds of the analytic concentration matrix of the
-    grid's Laplacians ``lap`` under uncorrelated injections: the default
-    ``(tau1, tau2)``."""
-    stats = InjectionStatistics.uniform(lap.n, variance=sigma, sigma_pq=sigma_pq)
-    analytic = analytic_concentration(lap, stats)
-    gamma1, gamma2 = gamma_thresholds(analytic)
-    return gamma1 / 2, gamma2 / 2
-
-
 def _learn(conc: ConcentrationMatrix, algorithm: str, tau1, tau2):
     """Topology estimate of one learning algorithm at the given thresholds."""
     if algorithm == "neighborhood":
@@ -378,42 +351,72 @@ def _attempt(fn, *args):
     return value, 1000 * (time.perf_counter() - t0), status
 
 
-def _grid_model(path, *settings) -> tuple:
-    """``(grid, lap, stats, noise, (tau1, tau2))`` of the grid file at
-    ``path`` under ``settings`` (``sigma``, ``sigma_pq``, ``epsilon``,
-    ``noise``): the grid, its Laplacians, the injection and noise
-    statistics and the half-gamma thresholds (module docstring, Model memo)."""
+@dataclass(frozen=True)
+class _GridModel:
+    """A grid file's model: ``stats`` add the line correlation ``epsilon`` to
+    ``uncorrelated``, and ``noise`` is the noise level times each
+    coordinate's analytic signal variance under ``stats`` (None at zero)."""
+
+    grid: GridGraph
+    lap: LaplacianPair
+    stats: InjectionStatistics
+    noise: NoiseStatistics | None
+    uncorrelated: InjectionStatistics
+
+    @functools.cached_property
+    def j(self) -> ConcentrationMatrix:
+        """Analytic concentration matrix under the uncorrelated injections."""
+        return analytic_concentration(self.lap, self.uncorrelated)
+
+    @functools.cached_property
+    def half_gammas(self) -> tuple[float, float]:
+        """Half the gamma thresholds of ``j``: the default ``(tau1, tau2)``.
+        Read on demand, since detection needs none and some grids have none."""
+        gamma1, gamma2 = gamma_thresholds(self.j)
+        return gamma1 / 2, gamma2 / 2
+
+
+def _grid_model(path, sigma, sigma_pq, epsilon, noise) -> _GridModel:
+    """The model of the grid file at ``path`` under the given settings; the
+    one place that builds it (module docstring, Model memo)."""
+    settings = (sigma, sigma_pq, epsilon, noise)
     # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal.
     return _built_model(read_grid_file(path), path, tuple(map(repr, settings)), *settings)
 
 
 @functools.lru_cache(maxsize=1)
-def _built_model(text, path, _reprs, sigma, sigma_pq, epsilon, noise) -> tuple:
+def _built_model(text, path, _reprs, sigma, sigma_pq, epsilon, noise) -> _GridModel:
     """The model of :func:`_grid_model`, built from the file's ``text``;
     ``_reprs``, the settings' reprs, only keys the cache."""
     grid = grid_from_json(text, path)
     lap = reduced_laplacians(grid)
-    stats = _injection_stats(grid, sigma, sigma_pq, epsilon)
-    noise_stats = _relative_noise(lap, stats, noise)
-    return grid, lap, stats, noise_stats, _half_gamma(lap, sigma, sigma_pq)
+    uncorrelated = InjectionStatistics.uniform(grid.n, variance=sigma, sigma_pq=sigma_pq)
+    stats = make_correlated_stats(grid, uncorrelated, epsilon) if epsilon else uncorrelated
+    if not noise >= 0:
+        raise ValidationError("noise level must be nonnegative")
+    noise_stats = None
+    if noise:
+        signal_var = np.diag(analytic_voltage_covariance(lap, stats))
+        noise_stats = NoiseStatistics.relative(signal_var, noise)
+    return _GridModel(grid, lap, stats, noise_stats, uncorrelated)
 
 
 class _SweepContext:
-    """Shared, deterministic per-grid quantities of a sweep."""
+    """A sweep's model and thresholds: the configured ones, else half-gamma."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        model = _grid_model(
+        self.model = _grid_model(
             config.grid, config.sigma, config.sigma_pq, config.epsilon, config.noise
         )
-        self.grid, self.lap, self.stats, self.noise, (half1, half2) = model
+        half1, half2 = self.model.half_gammas
         self.tau1 = config.tau1 if config.tau1 is not None else half1
         self.tau2 = config.tau2 if config.tau2 is not None else half2
 
     def estimate(self, n: int, sample_seed: int) -> ConcentrationMatrix:
-        c = self.config
-        cov = draw_covariance(self.lap, self.stats, n, sample_seed, self.noise)
-        return _concentration(cov, n, self.lap.bus_order, c.estimator, c.lam, c.ridge)
+        c, m = self.config, self.model
+        cov = draw_covariance(m.lap, m.stats, n, sample_seed, m.noise)
+        return _concentration(cov, n, m.lap.bus_order, c.estimator, c.lam, c.ridge)
 
 
 def _scored_cells(config: ExperimentConfig, n_indices, multipliers):
@@ -433,7 +436,7 @@ def _scored_cells(config: ExperimentConfig, n_indices, multipliers):
             for alg in config.algorithms:
                 err, ms, status = None, 0.0, est_status
                 if conc is not None:
-                    err, ms, status = _attempt(_learn_score, conc, ctx.grid, alg, tau1, tau2)
+                    err, ms, status = _attempt(_learn_score, conc, ctx.model.grid, alg, tau1, tau2)
                 yield mult, {
                     "sample_size": n,
                     "repetition": rep,
@@ -532,27 +535,26 @@ def detect_sweep(config: DetectConfig):
     """Detection accuracy over sample sizes, plus the analytic report.
 
     Per repetition the binary error is 0 only when both the event kind
-    and both endpoints are identified exactly.
+    and both endpoints are identified exactly. Both windows of a cell
+    carry the noise of the before grid: ``noise`` times each coordinate's
+    analytic signal variance before the event. The analytic report and
+    the default ``tau3`` come from the two grids' analytic J.
     """
-    before = load_grid(config.before)
-    after = load_grid(config.after)
-    true_kind, true_edge = _single_line_event(before, after)
-    lap_before = reduced_laplacians(before)
-    lap_after = reduced_laplacians(after)
-    stats = _injection_stats(before, config.sigma, config.sigma_pq)
-    j_before = analytic_concentration(lap_before, stats)
-    j_after = analytic_concentration(lap_after, stats)
-    deltas = diagonal_deltas(j_before, j_after)
-    order = lap_before.bus_order
+    settings = (config.sigma, config.sigma_pq, 0.0)
+    before = _grid_model(config.before, *settings, config.noise)
+    # Without noise: the after window carries the before grid's.
+    after = _grid_model(config.after, *settings, 0.0)
+    true_kind, true_edge = _single_line_event(before.grid, after.grid)
+    deltas = diagonal_deltas(before.j, after.j)
+    order = before.lap.bus_order
     # A reference-bus endpoint has no row; the other endpoint sets tau3.
     endpoint_deltas = [abs(deltas[order.index(b)]) for b in true_edge if b in order]
     tau3 = config.tau3 if config.tau3 is not None else min(endpoint_deltas) / 2
-    analytic_report = detect_change(j_before, j_after, tau3)
-    noise = _relative_noise(lap_before, stats, config.noise)
+    analytic_report = detect_change(before.j, after.j, tau3)
 
     def detect_cell(n, s_before, s_after):
-        before_cov = draw_covariance(lap_before, stats, n, s_before, noise)
-        after_cov = draw_covariance(lap_after, stats, n, s_after, noise)
+        before_cov = draw_covariance(before.lap, before.stats, n, s_before, before.noise)
+        after_cov = draw_covariance(after.lap, after.stats, n, s_after, before.noise)
         return detect_change(
             _concentration(before_cov, n, order), _concentration(after_cov, n, order), tau3
         )
@@ -585,4 +587,4 @@ def detect_sweep(config: DetectConfig):
 def replay_cell(config: ExperimentConfig, n: int, sample_seed: int, algorithm: str) -> float:
     """Re-run one sweep cell from its recorded seed; returns the error ratio."""
     ctx = _SweepContext(config)
-    return _learn_score(ctx.estimate(n, sample_seed), ctx.grid, algorithm, ctx.tau1, ctx.tau2)
+    return _learn_score(ctx.estimate(n, sample_seed), ctx.model.grid, algorithm, ctx.tau1, ctx.tau2)

@@ -15,14 +15,15 @@ from gridtopo.estimator import (
 from gridtopo.generate import generate_grid
 from gridtopo.glasso import default_lambda
 from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
-from gridtopo.sampler import InjectionStatistics, add_noise, export_samples, sample_voltages
-from gridtopo.sweep import (
-    DetectConfig,
-    ExperimentConfig,
-    _concentration,
-    _injection_stats,
-    _relative_noise,
+from gridtopo.sampler import (
+    InjectionStatistics,
+    NoiseStatistics,
+    add_noise,
+    analytic_voltage_covariance,
+    export_samples,
+    sample_voltages,
 )
+from gridtopo.sweep import DetectConfig, ExperimentConfig, _concentration
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,18 @@ def test_learn_takes_one_threshold(workdir, small, tmp_path):
     # one run learns with one algorithm, so there is no second threshold flag
     with pytest.raises(SystemExit):
         build_parser().parse_args([*learn, "--alg", "sign", "--tau1", "5", "--out", "x"])
+
+
+def test_learn_reads_sigma_only_for_default_thresholds(workdir, small, tmp_path, capsys):
+    # --sigma shapes only the default threshold, so a given --tau ignores it
+    learn = [
+        "learn", "--concentration", str(small / "c.csv"), "--alg", "sign",
+        "--truth", str(workdir / "grid.json"), "--sigma", "-1",
+    ]
+    assert main([*learn, "--tau", "5", "--out", str(tmp_path / "tau.json")]) == 0
+    assert main([*learn, "--out", str(tmp_path / "default.json")]) == 2
+    assert "per-bus variances must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "default.json").exists()
 
 
 def test_estimate_glasso_small_penalty(tmp_path, capsys):
@@ -338,10 +351,9 @@ def test_sample_noise_drawn_from_next_seed(workdir, tmp_path):
         "--seed", "1", "--noise", "0.5", "--out", str(out),
     ]) == 0
     grid = load_grid(workdir / "grid.json")
-    lap, stats = reduced_laplacians(grid), _injection_stats(grid, 1e-2, 0.0)
-    expected = add_noise(
-        sample_voltages(lap, stats, 300, seed=1), _relative_noise(lap, stats, 0.5), seed=2
-    )
+    lap, stats = reduced_laplacians(grid), InjectionStatistics.uniform(grid.n)
+    noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.5)
+    expected = add_noise(sample_voltages(lap, stats, 300, seed=1), noise, seed=2)
     export_samples(replace(expected, grid_sha256=grid.sha256), tmp_path / "expected.csv")
     for suffix in ("", ".meta.json"):
         assert (tmp_path / f"noisy.csv{suffix}").read_bytes() == (
@@ -451,7 +463,7 @@ def test_estimate_glasso_standardizes_like_the_sweep(tmp_path):
     assert meta["standardized"] is True
     grid = load_grid(grid_path)
     lap = reduced_laplacians(grid)
-    samples = sample_voltages(lap, _injection_stats(grid, 1e-2, 0.0), 200, 5)
+    samples = sample_voltages(lap, InjectionStatistics.uniform(grid.n), 200, 5)
     expected = _concentration(sample_covariance(samples), 200, lap.bus_order, "glasso").j
     got = import_concentration(conc).j
     off = ~np.eye(len(got), dtype=bool)
@@ -504,7 +516,7 @@ def test_sidecar_error_exit_code(workdir, tmp_path, capsys, command, sidecar):
     if command == "learn":
         grid = load_grid(workdir / "grid.json")
         export_concentration(
-            analytic_concentration(reduced_laplacians(grid), _injection_stats(grid, 1e-2, 0.0)),
+            analytic_concentration(reduced_laplacians(grid), InjectionStatistics.uniform(grid.n)),
             data,
         )
         args = ["learn", "--concentration", str(data), "--alg", "sign"]

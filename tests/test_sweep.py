@@ -14,12 +14,32 @@ import pytest
 
 from _oracles import glasso_kkt_residual
 import gridtopo
-from gridtopo import glasso, sweep
+from gridtopo import cli, glasso, sweep
 from gridtopo.errors import ValidationError
-from gridtopo.estimator import ConcentrationMatrix, analytic_concentration, gamma_thresholds
+from gridtopo.detect import detect_change, diagonal_deltas
+from gridtopo.estimator import (
+    ConcentrationMatrix,
+    analytic_concentration,
+    default_ridge,
+    direct_concentration,
+    gamma_thresholds,
+)
 from gridtopo.generate import generate_grid
-from gridtopo.grid import apply_line_event, load_grid, reduced_laplacians, save_grid
-from gridtopo.sampler import InjectionStatistics, draw_covariance
+from gridtopo.grid import (
+    GridGraph,
+    Line,
+    apply_line_event,
+    load_grid,
+    reduced_laplacians,
+    save_grid,
+)
+from gridtopo.sampler import (
+    InjectionStatistics,
+    NoiseStatistics,
+    analytic_voltage_covariance,
+    draw_covariance,
+    make_correlated_stats,
+)
 from gridtopo.sweep import (
     DetectConfig,
     ExperimentConfig,
@@ -274,6 +294,40 @@ class TestRunSweep:
         assert result.rows[0]["noise_level"] == 0.01
         assert result.rows[0]["epsilon"] == 0.05
 
+    @pytest.mark.parametrize("setting", [{"noise": 0.01}, {"epsilon": 0.05}])
+    def test_settings_reach_the_draw(self, small_grid_path, monkeypatch, setting):
+        # A row estimates the covariance drawn, at its seed, from the line-
+        # correlated statistics and with noise relative to their signal.
+        config = ExperimentConfig(
+            grid=small_grid_path,
+            sample_sizes=(400, 2000),
+            repetitions=2,
+            seed=3,
+            algorithms=("sign",),
+            **setting,
+        )
+        estimates = []
+
+        def recording(conc, tau):
+            estimates.append(conc)
+            return learn_sign_rule(conc, tau)
+
+        monkeypatch.setattr(sweep, "learn_sign_rule", recording)
+        rows = run_sweep(config).rows
+        grid = load_grid(small_grid_path)
+        lap, uniform = reduced_laplacians(grid), InjectionStatistics.uniform(grid.n)
+        stats = make_correlated_stats(grid, uniform, config.epsilon)
+        signal_var = np.diag(analytic_voltage_covariance(lap, stats))
+        noise = NoiseStatistics.relative(signal_var, config.noise) if config.noise else None
+        tau2 = gamma_thresholds(analytic_concentration(lap, uniform))[1] / 2
+        assert len(estimates) == len(rows) == 4
+        for row, conc in zip(rows, estimates):
+            n = row["sample_size"]
+            cov = draw_covariance(lap, stats, n, row["seed"], noise)
+            expected = direct_concentration(cov, default_ridge(cov, n), bus_order=lap.bus_order)
+            np.testing.assert_array_equal(conc.j, expected.j)
+            assert row["error_ratio"] == score(learn_sign_rule(expected, tau2), grid)
+
 
 class TestThresholdSensitivity:
     def test_multiplier_grid(self, small_grid_path):
@@ -358,6 +412,73 @@ class TestDetectSweep:
         counts = {r["sample_size"]: (r["ok_rows"], r["failed_rows"]) for r in result.summary}
         assert counts == {1: (0, 3), 2000: (3, 0)}
 
+    def test_both_windows_carry_the_before_noise(self, grids, monkeypatch):
+        # Each window is the public draw at its seed, with noise relative to
+        # the before grid's signal variance on the after window as well.
+        before, after, edge = grids
+        config = DetectConfig(
+            before=before,
+            after=after,
+            sample_sizes=(300, 3000),
+            repetitions=2,
+            seed=2,
+            noise=0.01,
+        )
+        draws = []
+
+        def recording(lap, stats, n, seed, noise=None):
+            cov = draw_covariance(lap, stats, n, seed, noise)
+            draws.append((seed, cov))
+            return cov
+
+        monkeypatch.setattr(sweep, "draw_covariance", recording)
+        result, report = detect_sweep(config)
+        lap_b, lap_a = (reduced_laplacians(load_grid(path)) for path in (before, after))
+        stats = InjectionStatistics.uniform(lap_b.n)
+        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap_b, stats)), 0.01)
+        j_b, j_a = analytic_concentration(lap_b, stats), analytic_concentration(lap_a, stats)
+        order = lap_b.bus_order
+        deltas = diagonal_deltas(j_b, j_a)
+        tau3 = min(abs(deltas[order.index(b)]) for b in edge) / 2
+        assert report == detect_change(j_b, j_a, tau3)
+
+        def estimate(cov, n):
+            return direct_concentration(cov, default_ridge(cov, n), bus_order=order)
+
+        assert len(draws) == 2 * len(result.rows) == 8
+        for row, (b, a) in zip(result.rows, zip(draws[::2], draws[1::2])):
+            n = row["sample_size"]
+            assert b[0] == row["seed"]
+            cov_b = draw_covariance(lap_b, stats, n, b[0], noise)
+            cov_a = draw_covariance(lap_a, stats, n, a[0], noise)
+            np.testing.assert_array_equal(b[1], cov_b)
+            np.testing.assert_array_equal(a[1], cov_a)
+            verdict = detect_change(estimate(cov_b, n), estimate(cov_a, n), tau3)
+            assert row["status"] == f"ok:{verdict.kind}"
+
+    def test_grids_without_gammas(self, tmp_path):
+        # Detection reads no thresholds, so a grid whose J_vv has no
+        # informative off-diagonal entry still detects; a sweep fails on it.
+        triangle = GridGraph(
+            buses=("r", "a", "b"),
+            reference="r",
+            lines=(Line("r", "a", 0.1, 0.2), Line("r", "b", 0.2, 0.1), Line("a", "b", 0.1, 0.3)),
+        )
+        star = apply_line_event(triangle, "a", "b", "remove")
+        save_grid(triangle, tmp_path / "before.json")
+        save_grid(star, tmp_path / "after.json")
+        config = DetectConfig(
+            before=str(tmp_path / "before.json"),
+            after=str(tmp_path / "after.json"),
+            sample_sizes=(2000,),
+            repetitions=1,
+            noise=0.01,
+        )
+        _, report = detect_sweep(config)
+        assert (report.kind, report.endpoints) == ("removed", ("a", "b"))
+        with pytest.raises(ValidationError, match="no informative"):
+            run_sweep(ExperimentConfig(grid=config.after, sample_sizes=(100,)))
+
     def test_identical_grids_rejected(self, grids):
         before, _, _ = grids
         config = DetectConfig(before=before, after=before, sample_sizes=(100,))
@@ -401,7 +522,7 @@ def _model(config):
 
 
 class TestModelMemo:
-    def test_second_sweep_rebuilds_nothing(self, small_grid_path, monkeypatch):
+    def test_second_sweep_rebuilds_nothing(self, small_grid_path, monkeypatch, tmp_path):
         composite = reduced_laplacians(load_grid(small_grid_path)).composite
         calls = {"reduced_laplacians": 0, "eigvalsh": 0, "solve": 0}
 
@@ -425,6 +546,16 @@ class TestModelMemo:
         second = run_sweep(config)
         assert calls == {"reduced_laplacians": 1, "eigvalsh": 1, "solve": 1}
         assert _strip(second.rows) == _strip(first.rows)
+        # ``sample`` then ``learn --truth`` on one grid share one model.
+        sweep._built_model.cache_clear()
+        samples, conc = tmp_path / "s.csv", tmp_path / "c.csv"
+        sample = ["sample", "--grid", small_grid_path, "--n", "500", "--out", str(samples)]
+        assert cli.main(sample) == 0
+        assert cli.main(["estimate", "--samples", str(samples), "--out", str(conc)]) == 0
+        learn = ["learn", "--concentration", str(conc), "--truth", small_grid_path]
+        assert cli.main([*learn, "--alg", "sign", "--out", str(tmp_path / "l.json")]) == 0
+        assert calls["reduced_laplacians"] == 2
+        assert sweep._built_model.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_rewritten_file_gives_fresh_rows(self, small_grid_path, other_grid_path, tmp_path):
         path = tmp_path / "grid.json"
@@ -477,7 +608,7 @@ class TestModelMemo:
     def test_one_entry(self, small_grid_path, other_grid_path):
         config = ExperimentConfig(grid=small_grid_path, sample_sizes=(400,), repetitions=1)
         run_sweep(config)
-        first = weakref.ref(_model(config)[1])
+        first = weakref.ref(_model(config).lap)
         run_sweep(ExperimentConfig(grid=other_grid_path, sample_sizes=(400,), repetitions=1))
         assert first() is None
 
