@@ -26,7 +26,15 @@ Every inversion here goes through :func:`gridtopo.sampler._spd_inverse`
 and so through the one conditioning rule of :mod:`gridtopo.sampler` (all
 eigenvalues positive, max <= ``COND_LIMIT`` * min), or raises
 :class:`NumericalError`; every input matrix passes the one symmetric-input
-check, :func:`gridtopo.sampler._symmetric`.
+check, :func:`gridtopo.sampler._symmetric`. The direct and noisy
+inverses pass the rule without an eigendecomposition when a Cholesky
+factor exists and ||cov|| ||inv|| (Frobenius) is at most
+``COND_LIMIT`` / 10. The standard backward-error bounds of Cholesky and
+LU inversion make that decision the eigenvalue rule's (sampler module
+docstring, "Conditioning certificate"). The inverse is still
+``np.linalg.inv``, so every estimate keeps its bits. The noise
+covariance of :func:`noise_deviation_bound` comes with its eigenvalues
+and keeps the exact check.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_stats, traced_peak
 from gridtopo import sampler
 from gridtopo.errors import NumericalError, ValidationError
-from gridtopo.estimator import noise_deviation_bound
+from gridtopo.estimator import direct_concentration, noise_deviation_bound
 from gridtopo.generate import generate_grid, random_connected_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
@@ -597,13 +598,14 @@ def fresh56():
     return grid, reduced_laplacians(grid)
 
 
-def count_calls(monkeypatch, name, matrix):
-    """Count ``np.linalg.<name>`` calls whose first argument is ``matrix``."""
+def count_calls(monkeypatch, name, matrix=None):
+    """Count ``np.linalg.<name>`` calls whose first argument is ``matrix``,
+    or all of them when ``matrix`` is None."""
     calls = []
     real = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
-        if a is matrix:
+        if matrix is None or a is matrix:
             calls.append(name)
         return real(a, *args, **kwargs)
 
@@ -703,6 +705,123 @@ class TestTransferMemo:
             with pytest.raises(AttributeError):
                 delattr(owner, name)
             assert getattr(owner, name) is value
+
+
+def rotated(spectrum, seed):
+    """A symmetric matrix with the given eigenvalues and a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))
+    a = (q * np.asarray(spectrum, dtype=float)) @ q.T
+    return (a + a.T) / 2
+
+
+def eigenvalue_rule_passes(a):
+    """Whether ``a`` passes the conditioning rule on its eigenvalues alone."""
+    try:
+        sampler._require_conditioned(np.linalg.eigvalsh(a), "rule")
+    except NumericalError:
+        return False
+    return True
+
+
+class TestConditioningCertificate:
+    def test_well_conditioned_covariance_is_not_decomposed(self, monkeypatch):
+        grid, lap = fresh56()
+        cov = draw_covariance(lap, random_stats(grid.n, seed=5), 100_000, seed=3)
+        eig = count_calls(monkeypatch, "eigvalsh")
+        conc = direct_concentration(cov)
+        assert eig == []
+        inv = np.linalg.inv(cov)
+        assert conc.j.tobytes() == ((inv + inv.T) / 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "spectrum, shown",
+        [
+            # Cholesky fails
+            ([2.0, 1.0, -1.0], r"\[-1\.000e\+00, 2\.000e\+00\]"),
+            # Cholesky succeeds, but the bound does not certify and the rule fails
+            ([1.0, 1e-6, 1e-13], r"\[1\.000e-13, 1\.000e\+00\]"),
+        ],
+    )
+    def test_failing_matrices_are_decomposed_once(self, monkeypatch, spectrum, shown):
+        cov = rotated(spectrum, seed=2)
+        eig = count_calls(monkeypatch, "eigvalsh")
+        with pytest.raises(NumericalError, match=f"covariance numerically singular.*{shown}"):
+            direct_concentration(cov)
+        assert len(eig) == 1
+
+    def test_uncertified_matrix_inside_the_limit_passes(self, monkeypatch):
+        # condition number 3e11: above the certified 1e11, within COND_LIMIT
+        cov = rotated([3e11, 1.0, 2.0, 1.0], seed=4)
+        eig = count_calls(monkeypatch, "eigvalsh")
+        inv = np.linalg.inv(cov)
+        assert sampler._spd_inverse(cov, "m").tobytes() == ((inv + inv.T) / 2).tobytes()
+        assert len(eig) == 1
+
+    def test_caller_eigenvalues_skip_the_certificate(self, monkeypatch):
+        cov = rotated([1.0, 2.0, 3.0], seed=5)
+        chol = count_calls(monkeypatch, "cholesky")
+        sampler._spd_inverse(cov, "m", np.linalg.eigvalsh(cov))
+        assert chol == []
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales_fall_back_to_the_rule(self, monkeypatch, scale):
+        # the Frobenius norms under- or overflow; the eigenvalues decide
+        cov = rotated(scale * np.array([1.0, 1e-13, 0.5]), seed=6)
+        eig = count_calls(monkeypatch, "eigvalsh")
+        with pytest.raises(NumericalError, match="eigenvalue range"):
+            sampler._spd_inverse(cov, "m")
+        assert len(eig) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.integers(2, 40),
+        log_cond=st.floats(0.0, 17.0),
+        log_scale=st.floats(-8.0, 8.0),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raises_exactly_when_the_eigenvalue_rule_does(
+        self, size, log_cond, log_scale, negative, seed
+    ):
+        rng = np.random.default_rng(seed)
+        spectrum = 10.0 ** rng.uniform(0.0, log_cond, size)
+        spectrum[:2] = 1.0, 10.0**log_cond
+        if negative:
+            spectrum[rng.integers(size)] *= -1
+        a = rotated(10.0**log_scale * spectrum, seed)
+        if eigenvalue_rule_passes(a):
+            inv = np.linalg.inv(a)
+            assert sampler._spd_inverse(a, "m").tobytes() == ((inv + inv.T) / 2).tobytes()
+        else:
+            with pytest.raises(NumericalError, match="eigenvalue range"):
+                sampler._spd_inverse(a, "m")
+
+
+class TestSymmetricInput:
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("rel", [1e-8, 1e-12])
+    def test_tolerance_is_relative_to_the_largest_entry(self, rel, scale):
+        # |m - m.T| is checked against rel * max(1, max|m|) and nothing else
+        def near(gap):
+            return scale * np.array([[1.0, 1.0 + gap], [1.0, 1.0]])
+
+        sampler._symmetric(near(0.5 * rel), "m", rel)
+        with pytest.raises(ValidationError, match="m must be symmetric"):
+            sampler._symmetric(near(2 * rel), "m", rel)
+
+    def test_no_hidden_relative_tolerance(self):
+        with pytest.raises(ValidationError, match="must be symmetric"):
+            sampler._symmetric([[1.0, 1.0 + 1e-7], [1.0, 1.0]], "m", 1e-12)
+
+    def test_returns_a_new_symmetrized_array(self):
+        exact = np.array([[2.0, 1.0], [1.0, 3.0]])
+        out = sampler._symmetric(exact, "m")
+        assert not np.shares_memory(out, exact) and out.tobytes() == exact.tobytes()
+        near = np.array([[2.0, 1.0 + 2e-16], [1.0, 3.0]])
+        out = sampler._symmetric(near, "m")
+        assert not np.shares_memory(out, near)
+        assert np.array_equal(out, out.T) and out[0, 1] == (near[0, 1] + 1.0) / 2
 
 
 class TestCorrelatedStats:
