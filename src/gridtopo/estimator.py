@@ -27,14 +27,18 @@ and so through the one conditioning rule of :mod:`gridtopo.sampler` (all
 eigenvalues positive, max <= ``COND_LIMIT`` * min), or raises
 :class:`NumericalError`; every input matrix passes the one symmetric-input
 check, :func:`gridtopo.sampler._symmetric`. The direct and noisy
-inverses pass the rule without an eigendecomposition when a Cholesky
-factor exists and ||cov|| ||inv|| (Frobenius) is at most
-``COND_LIMIT`` / 10. The standard backward-error bounds of Cholesky and
-LU inversion make that decision the eigenvalue rule's (sampler module
-docstring, "Conditioning certificate"). The inverse is still
-``np.linalg.inv``, so every estimate keeps its bits. The noise
+inverses are computed from the Cholesky factor of the covariance, which
+also certifies the rule without an eigendecomposition when ||cov|| ||inv||
+(Frobenius) is at most ``COND_LIMIT`` / 10 (sampler module docstring,
+"Conditioning certificate"). Such an inverse is exactly symmetric and
+differs from the symmetrized ``np.linalg.inv`` by at most
+kappa(cov) eps max|J|, kappa the condition number. In the sweeps and
+detect runs compared with the LU inverse, no learned edge, error ratio
+or verdict moved. A covariance the certificate does not decide is
+decided by its eigenvalues and inverted by ``np.linalg.inv``. The noise
 covariance of :func:`noise_deviation_bound` comes with its eigenvalues
-and keeps the exact check.
+and keeps that exact path. :func:`direct_concentration` adds its ridge
+to the diagonal of the validated copy of the covariance.
 """
 
 from __future__ import annotations
@@ -154,18 +158,17 @@ def direct_concentration(
     ridge: float = 0.0,
     bus_order: tuple[str, ...] | None = None,
 ) -> ConcentrationMatrix:
-    """Invert ``cov + ridge*I`` and symmetrize the result.
+    """Invert ``cov + ridge*I`` (module docstring).
 
     Fails with :class:`NumericalError` when the (possibly ridged) matrix
-    breaks the conditioning rule (module docstring).
+    breaks the conditioning rule.
     """
     cov = _symmetric(cov, "covariance")
     if not 0 <= ridge < np.inf:
         raise ValidationError("ridge must be nonnegative and finite")
-    j = _spd_inverse(
-        cov + ridge * np.eye(cov.shape[0]),
-        "covariance numerically singular; increase ridge or the sample count",
-    )
+    # ``_symmetric`` returned a new array, so the ridge goes onto its diagonal
+    cov[np.diag_indices_from(cov)] += ridge
+    j = _spd_inverse(cov, "covariance numerically singular; increase ridge or the sample count")
     if bus_order is None:
         bus_order = tuple(str(i) for i in range(cov.shape[0] // 2))
     return ConcentrationMatrix(

@@ -244,6 +244,7 @@ class TestSampling:
         assert sorted(owners) == [
             ("glasso.py", "_kkt_residual"),
             ("glasso.py", "_newton"),
+            ("sampler.py", "_cholesky_inverse"),
             ("sampler.py", "_spd_inverse"),
         ]
 
@@ -471,6 +472,39 @@ class TestCovarianceDraw:
         for extra in (None, noise):
             cov = draw_covariance(lap, stats, n, 3, extra)
             assert np.linalg.matrix_rank(cov) == min(n - 1, cov.shape[0])
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_bytes_equal_the_symmetrized_product(self, model, n):
+        # the draw skips (c + c.T) / 2: root @ root.T is already exactly
+        # symmetric, so the pass changed no bit
+        lap, stats, noise = model
+        for extra in (None, noise):
+            factor = transfer(lap, stats)
+            if extra is not None:
+                factor = np.hstack((factor, extra.factor))
+            dof, d = n - 1, factor.shape[1]
+            m = min(d, dof)
+            for seed in range(4):
+                key = np.random.SeedSequence((seed, 0, 0, 0, 0))
+                gen = np.random.Generator(np.random.Philox(seed=key))
+                b = np.zeros((d, m))
+                b[np.diag_indices(m)] = np.sqrt(gen.chisquare(dof - np.arange(m)))
+                rows, cols = np.tril_indices(d, -1, m)
+                b[rows, cols] = gen.standard_normal(len(rows))
+                root = factor @ b
+                c = root @ root.T / dof
+                expected = (c + c.T) / 2
+                assert draw_covariance(lap, stats, n, seed, extra).tobytes() == expected.tobytes()
+
+    def test_bartlett_indices_are_kept_read_only(self, model):
+        lap, stats, _ = model
+        draw_covariance(lap, stats, 300, 5)
+        d = lap.n * 2
+        rows, cols = sampler._below_diagonal(d, d)
+        assert sampler._below_diagonal(d, d)[0] is rows
+        assert not rows.flags.writeable and not cols.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
     def test_rejects_bad_arguments(self, model):
         lap, stats, _ = model
@@ -715,6 +749,35 @@ def rotated(spectrum, seed):
     return (a + a.T) / 2
 
 
+def cholesky_formula(a):
+    """X^T X with X = L^-1 for the Cholesky factor L of ``a``, built block
+    row by block row as the sampler docstring documents."""
+    lower = np.linalg.cholesky(a)
+    x = np.zeros_like(lower)
+    step = sampler._INVERSE_BLOCK
+    for s in range(0, len(a), step):
+        d = np.linalg.inv(lower[s : s + step, s : s + step].T).T
+        x[s : s + step, s : s + step] = d
+        x[s : s + step, :s] = -(d @ (lower[s : s + step, :s] @ x[:s, :s]))
+    return x.T @ x
+
+
+def certified_inverse(a):
+    """``cholesky_formula(a)`` when it and ``a`` certify the rule, else None."""
+    try:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            inv = cholesky_formula(a)
+            bound = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
+    except np.linalg.LinAlgError:
+        return None
+    return inv if bound <= sampler.COND_LIMIT / 10 else None
+
+
+def symmetrized_inv(a):
+    inv = np.linalg.inv(a)
+    return (inv + inv.T) / 2
+
+
 def eigenvalue_rule_passes(a):
     """Whether ``a`` passes the conditioning rule on its eigenvalues alone."""
     try:
@@ -731,8 +794,29 @@ class TestConditioningCertificate:
         eig = count_calls(monkeypatch, "eigvalsh")
         conc = direct_concentration(cov)
         assert eig == []
-        inv = np.linalg.inv(cov)
-        assert conc.j.tobytes() == ((inv + inv.T) / 2).tobytes()
+        assert conc.j.tobytes() == cholesky_formula(cov).tobytes()
+
+    def test_cholesky_inverse_is_symmetric_and_within_the_rounding_bound(self):
+        # documented bound: max|J - inv(cov)| <= kappa(cov) * eps * max|J|
+        grid, lap = fresh56()
+        stats = random_stats(grid.n, seed=5)
+        noise = NoiseStatistics.relative(np.diag(analytic_voltage_covariance(lap, stats)), 0.01)
+        for n, extra in [(100_000, None), (300, None), (100_000, noise), (300, noise)]:
+            for seed in range(3):
+                cov = draw_covariance(lap, stats, n, seed, extra)
+                j = sampler._spd_inverse(cov, "m")
+                assert np.array_equal(j, j.T)
+                w = np.linalg.eigvalsh(cov)
+                tol = w[-1] / w[0] * np.finfo(float).eps * np.abs(j).max()
+                assert np.abs(j - symmetrized_inv(cov)).max() <= tol
+
+    def test_ridge_goes_onto_the_diagonal_of_a_copy(self):
+        cov = rotated([1.0, 2.0, 3.0, 1e-9], seed=7)
+        before = cov.copy()
+        conc = direct_concentration(cov, ridge=1e-3)
+        assert np.array_equal(cov, before)
+        ridged = cov + 1e-3 * np.eye(4)
+        assert conc.j.tobytes() == sampler._spd_inverse(ridged, "m").tobytes()
 
     @pytest.mark.parametrize(
         "spectrum, shown",
@@ -754,8 +838,7 @@ class TestConditioningCertificate:
         # condition number 3e11: above the certified 1e11, within COND_LIMIT
         cov = rotated([3e11, 1.0, 2.0, 1.0], seed=4)
         eig = count_calls(monkeypatch, "eigvalsh")
-        inv = np.linalg.inv(cov)
-        assert sampler._spd_inverse(cov, "m").tobytes() == ((inv + inv.T) / 2).tobytes()
+        assert sampler._spd_inverse(cov, "m").tobytes() == symmetrized_inv(cov).tobytes()
         assert len(eig) == 1
 
     def test_caller_eigenvalues_skip_the_certificate(self, monkeypatch):
@@ -790,10 +873,12 @@ class TestConditioningCertificate:
         if negative:
             spectrum[rng.integers(size)] *= -1
         a = rotated(10.0**log_scale * spectrum, seed)
+        certified = certified_inverse(a)
         if eigenvalue_rule_passes(a):
-            inv = np.linalg.inv(a)
-            assert sampler._spd_inverse(a, "m").tobytes() == ((inv + inv.T) / 2).tobytes()
+            expected = symmetrized_inv(a) if certified is None else certified
+            assert sampler._spd_inverse(a, "m").tobytes() == expected.tobytes()
         else:
+            assert certified is None
             with pytest.raises(NumericalError, match="eigenvalue range"):
                 sampler._spd_inverse(a, "m")
 
@@ -813,6 +898,18 @@ class TestSymmetricInput:
     def test_no_hidden_relative_tolerance(self):
         with pytest.raises(ValidationError, match="must be symmetric"):
             sampler._symmetric([[1.0, 1.0 + 1e-7], [1.0, 1.0]], "m", 1e-12)
+
+    def test_finite_input_stays_finite(self):
+        # (m + m.T) / 2 overflows above about 9e307; a copy or halves first do not
+        exact = np.array([[1e308, 1.0], [1.0, 2.0]])
+        out = sampler._symmetric(exact, "m")
+        assert out.tobytes() == exact.tobytes()
+        near = np.array([[1.0, 1.7e308], [1.7e308 * (1 + 1e-15), 2.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf((near + near.T) / 2).any()
+        out = sampler._symmetric(near, "m")
+        assert np.all(np.isfinite(out)) and np.array_equal(out, out.T)
+        assert out[0, 1] == near[0, 1] / 2 + near[1, 0] / 2
 
     def test_returns_a_new_symmetrized_array(self):
         exact = np.array([[2.0, 1.0], [1.0, 3.0]])

@@ -197,6 +197,36 @@ class TestRunSweep:
             by_n.setdefault(row["sample_size"], []).append(row["error_ratio"])
         assert np.mean(by_n[30000]) <= np.mean(by_n[300])
 
+    @pytest.mark.parametrize(
+        "noise, errors",
+        [
+            (0.0, [1333, 424, 1279, 383, 629, 1, 595, 4, 105, 0, 111, 0]),
+            (1e-4, [1121, 138, 1114, 166, 107, 28, 109, 26, 44, 30, 45, 30]),
+        ],
+    )
+    def test_case56_error_ratios_are_pinned(self, tmp_path, noise, errors):
+        # The README's 56-bus grid (57 true edges), with and without noise;
+        # the 150-sample cells are ridged. A rounding-level change in the
+        # direct estimate must not move a learned edge.
+        path = tmp_path / "case56.json"
+        grid = generate_grid(
+            "meshed",
+            56,
+            loops=3,
+            min_cycle=7,
+            seed=58,
+            r_range=(0.1, 0.2),
+            x_range=(0.1, 0.2),
+            min_non_leaves=3,
+        )
+        save_grid(grid, path)
+        config = ExperimentConfig(
+            grid=str(path), sample_sizes=(150, 500, 2000), repetitions=2, noise=noise
+        )
+        rows = run_sweep(config).rows
+        assert [row["status"] for row in rows] == ["ok"] * 12
+        assert [row["error_ratio"] for row in rows] == [e / 57 for e in errors]
+
     def test_row_replay(self, small_grid_path):
         config = ExperimentConfig(
             grid=small_grid_path, sample_sizes=(500, 1500), repetitions=2, seed=9
