@@ -43,7 +43,6 @@ to the diagonal of the validated copy of the covariance.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +59,7 @@ from .sampler import (
     VoltageSampleSet,
     _spd_inverse,
     _symmetric,
+    _write_float_rows,
     analytic_voltage_covariance,
 )
 
@@ -122,23 +122,30 @@ def sample_covariance(samples: VoltageSampleSet) -> np.ndarray:
     """Unbiased centered sample covariance (n - 1 denominator).
 
     Two passes: the column mean, then the Gram matrix of the centered rows
-    summed over ``_PASS_ROWS``-row chunks, so no centered copy of the whole
-    array is held. Up to ``_PASS_ROWS`` rows that is one chunk and the
-    result is bit for bit the one-shot ``x.T @ x / (n - 1)`` of the
-    centered x; above it the chunked sum differs at rounding level (at
-    most 1.7e-15 of max|cov| on a 56-bus grid at n = 100000).
+    summed over ``_PASS_ROWS``-row chunks. Each chunk is centered into one
+    buffer allocated for the first, so beside the n x 2N samples this
+    holds one ``_PASS_ROWS`` x 2N buffer and the 2N x 2N sums, never a
+    centered copy of the whole array. That is what ``gridtopo estimate``
+    holds beside its parsed array (``gridtopo sample`` holds the array and
+    one bounded CSV export pass instead). numpy runs each ``c.T @ c`` as
+    one ``syrk``, so every Gram and their sum are exactly symmetric. Up to
+    ``_PASS_ROWS`` rows that is one chunk and the result is bit for bit
+    the one-shot ``x.T @ x / (n - 1)`` of the centered x; above it the
+    chunked sum differs at rounding level (at most 1.7e-15 of max|cov| on
+    a 56-bus grid at n = 100000).
     """
     if samples.n < 2:
         raise ValidationError("sample covariance needs n >= 2")
     x = samples.samples
     mean = x.mean(axis=0)
-    c = x[:_PASS_ROWS] - mean
-    gram = c.T @ c
+    buf = x[:_PASS_ROWS] - mean
+    gram = buf.T @ buf
     for start in range(_PASS_ROWS, samples.n, _PASS_ROWS):
-        c = x[start : start + _PASS_ROWS] - mean
+        rows = x[start : start + _PASS_ROWS]
+        c = np.subtract(rows, mean, out=buf[: len(rows)])
         gram += c.T @ c
-    cov = gram / (samples.n - 1)
-    return (cov + cov.T) / 2
+    gram /= samples.n - 1
+    return gram
 
 
 def default_ridge(cov: np.ndarray, n_samples: int) -> float:
@@ -307,9 +314,7 @@ def gamma_thresholds(conc: ConcentrationMatrix) -> tuple[float, float]:
 def export_concentration(conc: ConcentrationMatrix, path) -> None:
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in conc.j:
-            writer.writerow([repr(float(v)) for v in row])
+        _write_float_rows(fh, conc.j)
     side = {
         "provenance": conc.provenance,
         "bus_order": list(conc.bus_order),

@@ -177,10 +177,13 @@ __all__ = [
 
 _BLOCK = 4096
 _CHUNK = 512
-# Rows per pass over a bulk n x 2N array (covariance accumulation, CSV
-# export): such a pass holds one slice of this many rows, never a
-# full-size temporary.
+# Rows per pass of ``estimator.sample_covariance`` over a bulk n x 2N
+# array: it holds one centered buffer of this many rows, never a
+# full-size temporary. The CSV writer has its own pass, ``_CSV_VALUES``.
 _PASS_ROWS = 4096
+# Values per pass of :func:`_write_float_rows`: about 1 MB of Python floats
+# and row lists at any width.
+_CSV_VALUES = 2**15
 _CURSOR_SIZE = 8
 COND_LIMIT = 1e12
 # Rows per diagonal block of the Cholesky inverse (module docstring).
@@ -703,18 +706,30 @@ def make_correlated_stats(
         ) from exc
 
 
+def _write_float_rows(fh, x: np.ndarray) -> None:
+    """Write the rows of a 2-D float array to ``fh`` (opened with
+    ``newline=""``) as CSV lines of ``repr`` values.
+
+    The bytes are those of ``csv.writer`` on ``[repr(float(v)) for v in
+    row]``: a float's ``repr`` never needs quoting. Rows are converted to
+    Python floats about ``_CSV_VALUES`` values at a time (at least one
+    row), so a pass holds about 1 MB of Python objects at any width and
+    the writer never holds a list of the whole array."""
+    step = max(1, _CSV_VALUES // (x.shape[1] or 1))
+    for start in range(0, len(x), step):
+        rows = x[start : start + step]
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+
+
 def export_samples(samples: VoltageSampleSet, path) -> None:
     """Write samples as CSV with a JSON metadata sidecar.
 
-    Rows are converted to Python floats ``_PASS_ROWS`` at a time, so the
-    writer never holds a list of the whole array."""
+    The rows go through :func:`_write_float_rows`, one bounded pass at a
+    time."""
     path = Path(path)
-    x = samples.samples
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(samples.columns)
-        for start in range(0, len(x), _PASS_ROWS):
-            rows = x[start : start + _PASS_ROWS]
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+        _write_float_rows(fh, samples.samples)
     meta = {
         "seed": samples.seed,
         "offset": samples.offset,

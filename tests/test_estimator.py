@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import networkx as nx
@@ -73,10 +75,34 @@ class TestSampleCovariance:
         cov = centered.T @ centered / (len(x) - 1)
         return (cov + cov.T) / 2
 
+    @staticmethod
+    def fresh_chunks(x):
+        """The covariance from a new centered copy of each 4096-row chunk,
+        symmetrized."""
+        mean = x.mean(axis=0)
+        c = x[:4096] - mean
+        gram = c.T @ c
+        for start in range(4096, len(x), 4096):
+            c = x[start : start + 4096] - mean
+            gram += c.T @ c
+        cov = gram / (len(x) - 1)
+        return (cov + cov.T) / 2
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_one_chunk_is_bit_identical_to_one_shot(self, order):
         x = np.asarray(np.random.default_rng(2).standard_normal((4096, 24)) + 3.0, order=order)
-        assert sample_covariance(make_set(x)).tobytes() == self.one_shot(x).tobytes()
+        cov = sample_covariance(make_set(x))
+        assert cov.tobytes() == self.one_shot(x).tobytes()
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_reused_buffer_is_bit_identical_to_fresh_chunks(self, n, order):
+        # one centered buffer and no symmetrizing pass change no bit
+        x = np.asarray(np.random.default_rng(n).standard_normal((n, 24)) + 3.0, order=order)
+        cov = sample_covariance(make_set(x))
+        assert cov.tobytes() == self.fresh_chunks(x).tobytes()
+        assert np.array_equal(cov, cov.T)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [4097, 3 * 4096 + 5])
@@ -87,9 +113,11 @@ class TestSampleCovariance:
         assert np.array_equal(cov, cov.T)
 
     def test_holds_no_full_size_temporary(self):
-        # a centered copy of the whole array alone would read 1.0
+        # one centered 4096-row buffer reads 1.0 (plus the 40 x 40 Grams);
+        # a second chunk allocated beside it 2.0, a centered copy of the
+        # whole array 4.9
         samples = make_set(np.random.default_rng(3).standard_normal((20000, 40)))
-        assert traced_peak(sample_covariance, samples) < 0.5 * samples.samples.nbytes
+        assert traced_peak(sample_covariance, samples) < 1.25 * 4096 * 40 * 8
 
 
 class TestDirectConcentration:
@@ -320,6 +348,22 @@ class TestConcentrationIO:
         assert np.array_equal(loaded.j, conc.j)
         assert loaded.bus_order == conc.bus_order
         assert loaded.provenance == "analytic"
+
+    def test_export_matches_csv_writer(self, tmp_path):
+        special = np.diag([0.0, -0.0, 1e-300, -1.5e300, 0.1, 1 / 3, 2.0**60, -7e-5])
+        special[0, 7] = special[7, 0] = 2.5e-17
+        # more rows than one export pass converts at a time
+        wide = np.random.default_rng(7).standard_normal((200, 200))
+        path = tmp_path / "conc.csv"
+        for j in (special, wide + wide.T):
+            conc = ConcentrationMatrix(j, tuple(str(k) for k in range(len(j) // 2)), "analytic")
+            export_concentration(conc, path)
+            reference = io.StringIO(newline="")
+            writer = csv.writer(reference)
+            for row in conc.j:
+                writer.writerow([repr(float(v)) for v in row])
+            assert path.read_bytes() == reference.getvalue().encode()
+            assert import_concentration(path).j.tobytes() == conc.j.tobytes()
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValidationError, match="concentration matrix is empty"):

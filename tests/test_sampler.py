@@ -1038,12 +1038,14 @@ class TestImportExport:
             assert np.array_equal(import_samples(path, center=False).samples, rows)
 
     def test_csv_round_trip_holds_no_full_size_temporary(self, tmp_path):
-        # a list of all rows would read about 4 array sizes, a centered copy
-        # beside the parsed array 2
-        rows = np.random.default_rng(6).standard_normal((20000, 40))
-        case = VoltageSampleSet(rows, tuple(str(k) for k in range(20)))
+        # an export pass of 32768 values reads about 1.1 MB at any row
+        # count, one of 4096 rows 5.5 MB; a list of all rows would read
+        # about 4 array sizes, a centered copy beside the parsed array 2
         path = tmp_path / "samples.csv"
-        assert traced_peak(export_samples, case, path) < 1.0 * rows.nbytes
+        for n in (60000, 20000):
+            rows = np.random.default_rng(6).standard_normal((n, 40))
+            case = VoltageSampleSet(rows, tuple(str(k) for k in range(20)))
+            assert traced_peak(export_samples, case, path) < 1.5 * 2**20
         assert traced_peak(import_samples, path) < 1.5 * rows.nbytes
 
     def test_ragged_rows(self, tmp_path):
