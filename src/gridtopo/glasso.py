@@ -19,6 +19,30 @@ scaled dual variable. One iteration is
 - U-step: ``U += Theta - Z`` (Theta over-relaxed as in the Z-step),
   which leaves U equal to the part that the threshold removed.
 
+Over-relaxation (section 3.4.3): the Z- and U-steps read
+``relax * Theta + (1 - relax) * Z`` in place of Theta, and any relax in
+(0, 2) converges (Eckstein and Bertsekas 1992). ``_RELAX = 1.9``, with
+the Newton finish below, took 18 to 21% fewer ADMM iterations than the
+1.5 used before, summed over held-out standardized Wishart draws at the
+default penalty ``c = 0.5`` unless marked (one BLAS thread, 2-vCPU Xeon
+virtual machine)::
+
+    grid, n        seeds     case      iterations 1.5 -> 1.9   CPU
+    12-bus, 200    100-119   c = 0.5    1130 ->  930
+                             c = 0.1    3040 -> 2430
+                             c = 0.02   5270 -> 4175
+    20-bus, 2000   100-105   c = 0.5    1400 -> 1110
+                             c = 0.1    8100 -> 6395
+    56-bus, 2000   100-101              1520 -> 1205    3.56 -> 3.20 s
+    56-bus, 200    100-101               780 ->  615    4.27 -> 3.85 s
+
+(12 buses: ``generate_grid("meshed", 12, loops=1, min_cycle=7,
+seed=12)``; 20 buses: ``loops=2, seed=20``; 56 buses: the README grid.)
+Every fit met ``tol``, the objectives moved by at most 5e-9 and the
+Newton steps fell too. One fit of the 76 took more iterations (12
+buses, c = 0.5, seed 100: 30 -> 50). rho was left at
+``_RHO_SCALE = 0.1``.
+
 rho is fixed from the extreme eigenvalues of ``cov``:
 ``_RHO_SCALE * (e_min + lam) * (e_max + lam)``. The curvature of
 ``-log det`` at Theta spans ``[1/theta_max**2, 1/theta_min**2]``, and a
@@ -61,11 +85,12 @@ all fail is the plain ADMM fit. A pattern that failed is not tried
 again: retrying it at every check made 56-bus fits twice as slow. A
 backtracking line search in place of full steps made 12-bus fits slower
 than ADMM alone. On 30 standardized 12-bus inputs at n = 200 (sample
-seeds 0 to 29, unit injection variances) the finish cuts the ADMM
-iterations from a median of 338 (240 to 480) to 50 (25 to 185) at the
-default penalty, from 473 to 145 at c = 0.1 and from 950 to 278 at
-c = 0.02. The estimate moves within ``tol`` of the ADMM-only one, and
-its support can differ at entries that ``tol`` does not pin.
+seeds 0 to 29 of ``draw_covariance``, unit injection variances) the
+finish cuts the ADMM iterations from a median of 252.5 (175 to 330) to
+40 (25 to 60) at the default penalty, from 377.5 to 90 at c = 0.1 and
+from 740 to 210 at c = 0.02. The estimate moves within ``tol`` of the
+ADMM-only one, and its support can differ at entries that ``tol`` does
+not pin.
 
 Cost: a Newton step inverts its iterate once. :func:`_kkt_residual`
 returns ``inv(P)`` with the residual, so one inverse per iterate serves
@@ -75,9 +100,10 @@ the row blocks ``W[rows]`` and ``W[cols]`` of that inverse. An ADMM
 iteration runs in place in ``z``, ``u`` and one scratch buffer; LAPACK
 ``eigh`` is about 80% of its cost. On the inputs above, at one BLAS
 thread on a 2-vCPU Xeon virtual machine (the fastest of five runs), a
-fit at the default penalty takes a median of 4.9 ms of CPU with the
-finish and 27 ms with ADMM alone, and a Newton step 190 microseconds
-(330 with four 2-D fancy gathers and a second inverse per step).
+fit at the default penalty takes a median of 4.0 ms of CPU with the
+finish and 21 ms with ADMM alone, and a Newton step 175 microseconds
+(330 with four 2-D fancy gathers and a second inverse per step, on an
+earlier revision).
 
 Every step is a fixed sequence of numpy and LAPACK calls, so a fit is
 deterministic at a fixed BLAS thread count.
@@ -98,6 +124,7 @@ step fail.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -110,7 +137,7 @@ __all__ = ["graphical_lasso", "glasso_objective", "default_lambda", "active_kern
 
 _SOLVER = "admm"
 _RHO_SCALE = 0.1
-_RELAX = 1.5
+_RELAX = 1.9
 _CHECK_EVERY = 5
 _NEWTON_STEPS = 6
 
@@ -160,6 +187,17 @@ def _kkt_residual(
     return float(violation.max()), inverse
 
 
+@functools.lru_cache(maxsize=1)
+def _clip_bounds(p: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only bounds ``(upper, lower)`` of the Z-step's soft threshold:
+    ``threshold`` off the diagonal, 0 on it. Cached, so the chunks of one
+    fit share one pair."""
+    upper = (1.0 - np.eye(p)) * threshold
+    lower = -upper
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def _admm(
     cov: np.ndarray, lam: float, rho: float, z: np.ndarray, u: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +206,13 @@ def _admm(
     Returns the final ``z`` and ``u`` in new arrays and modifies neither
     argument; the driver, :func:`graphical_lasso`, does every check
     between calls. Each iteration runs in place in ``z``, ``u`` and one
-    scratch buffer ``v``, in the rounding order of the textbook update
-    ``v = relax * (theta + theta') / 2 + (1 - relax) * z + u``.
+    scratch buffer ``v``. The Theta-step yields ``relax * theta`` at once,
+    as ``g g'`` with ``g = q sqrt(relax (d + sqrt(d**2 + 4 rho)) / (2 rho))``
+    scaling the columns of ``q``: one ``syrk``, exactly symmetric, so
+    ``z`` and ``u`` stay exactly symmetric if they start so. Then
+    ``v = relax * theta + (1 - relax) * z + u`` is summed in that order.
     """
-    p = cov.shape[0]
-    upper = (1.0 - np.eye(p)) * (lam / rho)
-    lower = -upper
+    upper, lower = _clip_bounds(cov.shape[0], lam / rho)
     z, u, v = z.copy(), u.copy(), np.empty_like(z)
     for _ in range(steps):
         np.subtract(z, u, out=v)
@@ -183,10 +222,8 @@ def _admm(
             d, q = np.linalg.eigh(v)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"ADMM step failed: {exc}") from exc
-        theta = (q * ((d + np.sqrt(d * d + 4.0 * rho)) / (2.0 * rho))) @ q.T
-        # (theta + theta') * (relax / 2) rounds as relax * ((theta + theta') / 2).
-        np.add(theta, theta.T, out=v)
-        v *= _RELAX / 2
+        g = q * np.sqrt((d + np.sqrt(d * d + 4.0 * rho)) * (_RELAX / (2.0 * rho)))
+        np.matmul(g, g.T, out=v)
         z *= 1.0 - _RELAX
         v += z
         v += u
