@@ -17,7 +17,7 @@ from .estimator import (
     noisy_concentration,
     sample_covariance,
 )
-from .generate import generate_grid, random_connected_grid
+from .generate import generate_grid
 from .glasso import active_kernel, graphical_lasso
 from .grid import (
     GridGraph,

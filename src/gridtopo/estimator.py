@@ -6,38 +6,16 @@ model, direct inversion of a sample covariance, and the l1-penalized
 maximum-likelihood estimator (graphical lasso, in :mod:`gridtopo.glasso`).
 
 The analytic form is J = H Sigma_(p,q)^{-1} H for the composite
-Laplacian H, computed as that one product with the injection precision
-(cross-bus perturbation included). It replaced a per-block expansion and
-differs from it at rounding level (at most 3e-16 of max|J| on a 56-bus
-grid). For block-diagonal injections the product reads, with diagonal
-matrices A = Sigma_qq/D, B = Sigma_pp/D, C = Sigma_pq/D where
-D(i,i) = sigma_pp*sigma_qq - sigma_pq^2 per bus,
+Laplacian H and the injection precision (cross-bus perturbation
+included). For injections uncorrelated across buses, H couples a bus
+only to its neighbors, so entries vanish beyond two hops: the support of
+J is the grid plus its two-hop pairs, which is what the topology
+algorithms exploit.
 
-    J_vv = H_g (A H_g - C H_b) - H_b (C H_g - B H_b)
-    J_vt = H_g (A H_b + C H_g) - H_b (C H_b + B H_g)
-    J_tv = H_b (A H_g - C H_b) + H_g (C H_g - B H_b)
-    J_tt = H_b (A H_b + C H_g) + H_g (C H_b + B H_g)
-
-Since H couples a bus only to its neighbors, entries vanish beyond two
-hops: the support of the concentration matrix is the grid plus its
-two-hop pairs, which is what the topology algorithms exploit.
-
-Every inversion here goes through :func:`gridtopo.sampler._spd_inverse`
-and so through the one conditioning rule of :mod:`gridtopo.sampler` (all
-eigenvalues positive, max <= ``COND_LIMIT`` * min), or raises
-:class:`NumericalError`; every input matrix passes the one symmetric-input
-check, :func:`gridtopo.sampler._symmetric`. The direct and noisy
-inverses are computed from the Cholesky factor of the covariance, which
-also certifies the rule without an eigendecomposition when ||cov|| ||inv||
-(Frobenius) is at most ``COND_LIMIT`` / 10 (sampler module docstring,
-"Conditioning certificate"). Such an inverse is exactly symmetric and
-differs from the symmetrized ``np.linalg.inv`` by at most
-kappa(cov) eps max|J|, kappa the condition number. In the sweeps and
-detect runs compared with the LU inverse, no learned edge, error ratio
-or verdict moved. A covariance the certificate does not decide is
-decided by its eigenvalues and inverted by ``np.linalg.inv``. The noise
-covariance of :func:`noise_deviation_bound` comes with its eigenvalues
-and keeps that exact path. :func:`direct_concentration` adds its ridge
+Every input matrix passes :func:`gridtopo.sampler._symmetric`, and every
+inversion here goes through :func:`gridtopo.sampler._spd_inverse`: the
+conditioning rule and its Cholesky certificate of :mod:`gridtopo.sampler`,
+or :class:`NumericalError`. :func:`direct_concentration` adds its ridge
 to the diagonal of the validated copy of the covariance.
 """
 
@@ -122,17 +100,13 @@ def sample_covariance(samples: VoltageSampleSet) -> np.ndarray:
     """Unbiased centered sample covariance (n - 1 denominator).
 
     Two passes: the column mean, then the Gram matrix of the centered rows
-    summed over ``_PASS_ROWS``-row chunks. Each chunk is centered into one
-    buffer allocated for the first, so beside the n x 2N samples this
-    holds one ``_PASS_ROWS`` x 2N buffer and the 2N x 2N sums, never a
-    centered copy of the whole array. That is what ``gridtopo estimate``
-    holds beside its parsed array (``gridtopo sample`` holds the array and
-    one bounded CSV export pass instead). numpy runs each ``c.T @ c`` as
-    one ``syrk``, so every Gram and their sum are exactly symmetric. Up to
-    ``_PASS_ROWS`` rows that is one chunk and the result is bit for bit
-    the one-shot ``x.T @ x / (n - 1)`` of the centered x; above it the
-    chunked sum differs at rounding level (at most 1.7e-15 of max|cov| on
-    a 56-bus grid at n = 100000).
+    summed over ``_PASS_ROWS``-row chunks, each centered into one reused
+    buffer, so beside the n x 2N samples this holds one ``_PASS_ROWS`` x 2N
+    buffer and never a centered copy of the whole array. Each ``c.T @ c``
+    is one ``syrk``, so the result is exactly symmetric. Up to
+    ``_PASS_ROWS`` rows it is bit for bit the one-shot
+    ``x.T @ x / (n - 1)`` of the centered x; above, it differs at rounding
+    level.
     """
     if samples.n < 2:
         raise ValidationError("sample covariance needs n >= 2")
@@ -248,7 +222,7 @@ def noise_deviation_bound(
     if noise_eigs[0] > 0:
         j0 = analytic_concentration(laplacians, stats).j
         lam_max_j = float(np.linalg.eigvalsh(j0)[-1])
-        inner = _spd_inverse(noise.matrix, "noise covariance numerically singular", noise_eigs) + j0
+        inner = _spd_inverse(noise.matrix, "noise covariance numerically singular") + j0
         eq_tight = lam_max_j**2 / float(np.linalg.eigvalsh(inner)[0])
         eq_mid = (lam_h2 / lam_min_pq) ** 2 / (1.0 / lam_noise)
         chain = (eq_tight, eq_mid, value)

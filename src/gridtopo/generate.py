@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import GridGraph, Line, _distances, _edge_key, structure_report
 
-__all__ = ["generate_grid", "random_connected_grid"]
+__all__ = ["generate_grid"]
 
 _MAX_TRIES = 200
 
@@ -149,40 +149,3 @@ def _interior_non_leaves(grid: GridGraph) -> int:
         if deg > 1:
             count += 1
     return count
-
-
-def random_connected_grid(
-    buses: int,
-    *,
-    extra_edges: int = 0,
-    seed: int = 0,
-    r_range: tuple[float, float] = (0.01, 1.0),
-    x_range: tuple[float, float] = (0.01, 1.0),
-) -> GridGraph:
-    """Random connected grid without girth control, for generic suites.
-
-    Builds a random tree over all buses (reference attached like any
-    other bus) and closes ``extra_edges`` arbitrary non-parallel pairs.
-    """
-    if buses < 2:
-        raise ValidationError("need at least two buses")
-    _check_range("r_range", r_range)
-    _check_range("x_range", x_range)
-    rng = np.random.default_rng(seed)
-    width = max(2, len(str(buses - 1)))
-    names = [_bus_name(i, width) for i in range(buses)]
-    edges, _ = _random_tree(rng, names, chain_bias=0.4)
-    present = {_edge_key(*e) for e in edges}
-    tries = 0
-    while len(present) < len(edges) + extra_edges and tries < 50 * (extra_edges + 1):
-        tries += 1
-        u, w = rng.choice(len(names), size=2, replace=False)
-        key = _edge_key(names[u], names[w])
-        if key in present:
-            continue
-        present.add(key)
-    lines = tuple(
-        Line(a=a, b=b, r=float(rng.uniform(*r_range)), x=float(rng.uniform(*x_range)))
-        for a, b in sorted(present)
-    )
-    return GridGraph(buses=tuple(names), reference=names[0], lines=lines)

@@ -13,97 +13,41 @@ scaled dual variable. One iteration is
 - Theta-step: ``d, Q = eigh(rho * (Z - U) - cov)`` and
   ``Theta = Q diag((d + sqrt(d**2 + 4 rho)) / (2 rho)) Q'``. Every
   eigenvalue of Theta is positive, whatever the input;
-- Z-step: the off-diagonal entries of ``Theta + U`` (over-relaxed by
-  ``_RELAX``) are soft-thresholded at ``lam / rho``; the diagonal is not
-  penalized, so ``lam = 0`` gives the plain inverse;
-- U-step: ``U += Theta - Z`` (Theta over-relaxed as in the Z-step),
-  which leaves U equal to the part that the threshold removed.
+- Z-step: the off-diagonal entries of ``Theta + U`` are soft-thresholded
+  at ``lam / rho``; the diagonal is not penalized, so ``lam = 0`` gives
+  the plain inverse;
+- U-step: ``U += Theta - Z``, which leaves U equal to the part that the
+  threshold removed.
 
-Over-relaxation (section 3.4.3): the Z- and U-steps read
-``relax * Theta + (1 - relax) * Z`` in place of Theta, and any relax in
-(0, 2) converges (Eckstein and Bertsekas 1992). ``_RELAX = 1.9``, with
-the Newton finish below, took 18 to 21% fewer ADMM iterations than the
-1.5 used before, summed over held-out standardized Wishart draws at the
-default penalty ``c = 0.5`` unless marked (one BLAS thread, 2-vCPU Xeon
-virtual machine)::
+The Z- and U-steps read the over-relaxed ``relax * Theta + (1 - relax) *
+Z`` in place of Theta (section 3.4.3); any relax in (0, 2) converges
+(Eckstein and Bertsekas 1992). rho is fixed from the extreme eigenvalues
+of ``cov`` as ``_RHO_SCALE * (e_min + lam) * (e_max + lam)``: a rho near
+the geometric mean of the curvature range of ``-log det`` is the
+classical choice, and ``inv(cov + lam I)`` stands in for the unknown
+solution. rho is internal: there is no argument or variable for it.
 
-    grid, n        seeds     case      iterations 1.5 -> 1.9   CPU
-    12-bus, 200    100-119   c = 0.5    1130 ->  930
-                             c = 0.1    3040 -> 2430
-                             c = 0.02   5270 -> 4175
-    20-bus, 2000   100-105   c = 0.5    1400 -> 1110
-                             c = 0.1    8100 -> 6395
-    56-bus, 2000   100-101              1520 -> 1205    3.56 -> 3.20 s
-    56-bus, 200    100-101               780 ->  615    4.27 -> 3.85 s
+Stop rule: :func:`graphical_lasso` runs :func:`_admm` in chunks of
+``_CHECK_EVERY`` iterations and after each computes the KKT residual of
+the sparse iterate Z (:func:`_kkt_residual`, the largest violation of
+``inv(Z) - cov = lam * G`` for a subgradient G of the penalty). It stops
+once that is at most ``tol``, so ``tol`` bounds stationarity of the
+returned estimate. The estimate is returned only after
+``np.linalg.cholesky`` succeeds on it, so it is positive definite;
+otherwise :class:`NumericalError` is raised. Spending ``max_iter``
+iterations raises :class:`ConvergenceError` with the duality gap of the
+last iterate; a tail of the budget shorter than a chunk runs unchecked.
 
-(12 buses: ``generate_grid("meshed", 12, loops=1, min_cycle=7,
-seed=12)``; 20 buses: ``loops=2, seed=20``; 56 buses: the README grid.)
-Every fit met ``tol``, the objectives moved by at most 5e-9 and the
-Newton steps fell too. One fit of the 76 took more iterations (12
-buses, c = 0.5, seed 100: 30 -> 50). rho was left at
-``_RHO_SCALE = 0.1``.
-
-rho is fixed from the extreme eigenvalues of ``cov``:
-``_RHO_SCALE * (e_min + lam) * (e_max + lam)``. The curvature of
-``-log det`` at Theta spans ``[1/theta_max**2, 1/theta_min**2]``, and a
-rho near the geometric mean ``1/(theta_min theta_max)`` of that range is
-the classical choice for a strongly convex smooth term;
-``inv(cov + lam I)``, with eigenvalues ``1/(e + lam)``, stands in for the
-unknown solution. The rule scales with ``cov`` (rho ~ cov**2 when lam
-scales with cov). On standardized voltage covariances at 12 and 20 buses
-and penalties c = 0.02 to 1, the best fixed rho was 0.07 to 0.16 times
-that mean, hence ``_RHO_SCALE = 0.1``. Residual balancing (section
-3.4.1) was measured and left out: it compares ``||Theta - Z||`` with
-``rho ||Z - Z_prev||``, which have different units, so it moved rho away
-on small penalties (3.6 and 11 times the iterations at c = 0.1 and 0.02
-on 12 buses) and never converged on unstandardized voltage covariances.
-rho is internal: there is no argument or variable for it.
-
-Stop rule, owned by :func:`graphical_lasso` alone (:func:`_admm` runs
-a given number of iterations): after every chunk of ``_CHECK_EVERY``
-iterations the KKT residual of the sparse iterate Z (:func:`_kkt_residual`,
-the largest violation of ``inv(Z) - cov = lam * G`` for a subgradient G
-of the penalty) is computed, and the solver stops once it is at most
-``tol``. So ``tol`` bounds stationarity of the returned estimate
-directly. The estimate is returned only after ``np.linalg.cholesky``
-succeeds on it, so it is positive definite; otherwise
-:class:`NumericalError` is raised. Spending ``max_iter`` iterations
-raises :class:`ConvergenceError` with the duality gap of the last
-iterate; a tail of the budget shorter than a chunk runs unchecked.
-
-Newton finish (the active-set idea of QUIC, Hsieh et al., JMLR 2014):
-ADMM settles the sign pattern of Z long before it meets ``tol``. So at
-a check whose sign pattern equals that of the previous check and has
-not failed a finish before, :func:`_newton` takes up to
-``_NEWTON_STEPS`` full Newton steps on the face of that pattern (free
-entries: the diagonal and the support of Z, at their signs), where the
-objective is smooth. The finish stops as soon as the KKT residual is at
-most ``tol`` and Cholesky succeeds, and that point is returned. A sign
-change, a failed factorization or running out of steps abandons it, and
-ADMM continues from its own unchanged iterate, so a fit whose finishes
-all fail is the plain ADMM fit. A pattern that failed is not tried
-again: retrying it at every check made 56-bus fits twice as slow. A
-backtracking line search in place of full steps made 12-bus fits slower
-than ADMM alone. On 30 standardized 12-bus inputs at n = 200 (sample
-seeds 0 to 29 of ``draw_covariance``, unit injection variances) the
-finish cuts the ADMM iterations from a median of 252.5 (175 to 330) to
-40 (25 to 60) at the default penalty, from 377.5 to 90 at c = 0.1 and
-from 740 to 210 at c = 0.02. The estimate moves within ``tol`` of the
-ADMM-only one, and its support can differ at entries that ``tol`` does
-not pin.
-
-Cost: a Newton step inverts its iterate once. :func:`_kkt_residual`
-returns ``inv(P)`` with the residual, so one inverse per iterate serves
-both its KKT check and the next step, and the check that starts a finish
-hands its inverse to the first step. The face Hessian is gathered from
-the row blocks ``W[rows]`` and ``W[cols]`` of that inverse. An ADMM
-iteration runs in place in ``z``, ``u`` and one scratch buffer; LAPACK
-``eigh`` is about 80% of its cost. On the inputs above, at one BLAS
-thread on a 2-vCPU Xeon virtual machine (the fastest of five runs), a
-fit at the default penalty takes a median of 4.0 ms of CPU with the
-finish and 21 ms with ADMM alone, and a Newton step 175 microseconds
-(330 with four 2-D fancy gathers and a second inverse per step, on an
-earlier revision).
+Newton finish (the active-set idea of QUIC, Hsieh et al., JMLR 2014): at
+a check whose sign pattern of Z equals that of the previous check and
+has not failed a finish before, :func:`_newton` takes up to
+``_NEWTON_STEPS`` full Newton steps on the face of that pattern, where
+the objective is smooth, and returns the first point with a KKT residual
+of at most ``tol`` on which Cholesky succeeds. A sign change, a failed
+factorization or running out of steps abandons it, and ADMM continues
+from its own unchanged iterate, so a fit whose finishes all fail is the
+plain ADMM fit. The estimate lies within ``tol`` of the ADMM-only one;
+its support can differ at entries that ``tol`` does not pin.
 
 Every step is a fixed sequence of numpy and LAPACK calls, so a fit is
 deterministic at a fixed BLAS thread count.
@@ -118,13 +62,11 @@ the returned estimate, ``rho``, and ``kernel``: the solver name
 Saturating penalty: when ``lam`` is at or above every off-diagonal
 ``|cov|``, ``diag(1 / variances)`` meets the KKT conditions exactly, so
 it is returned before rho is computed, with ``iterations`` 0 and ``rho``
-None. So no penalty overflows rho: ``lam = 1e150`` made the first ADMM
-step fail.
+None. So no penalty overflows rho.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -136,7 +78,9 @@ from .sampler import _require_conditioned, _symmetric
 __all__ = ["graphical_lasso", "glasso_objective", "default_lambda", "active_kernel"]
 
 _SOLVER = "admm"
+# Trials of a fixed rho: ROADMAP "Measured floors", ADMM iteration.
 _RHO_SCALE = 0.1
+# Held-out iterations at 1.5 and 1.9: CHANGES.md, "Fewer, cheaper ADMM iterations".
 _RELAX = 1.9
 _CHECK_EVERY = 5
 _NEWTON_STEPS = 6
@@ -187,21 +131,19 @@ def _kkt_residual(
     return float(violation.max()), inverse
 
 
-@functools.lru_cache(maxsize=1)
-def _clip_bounds(p: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bounds ``(upper, lower)`` of the Z-step's soft threshold:
-    ``threshold`` off the diagonal, 0 on it. Cached, so the chunks of one
-    fit share one pair."""
-    upper = (1.0 - np.eye(p)) * threshold
-    lower = -upper
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
-
-
 def _admm(
-    cov: np.ndarray, lam: float, rho: float, z: np.ndarray, u: np.ndarray, steps: int
+    cov: np.ndarray,
+    rho: float,
+    upper: np.ndarray,
+    lower: np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
+    steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``steps`` ADMM iterations from the iterate ``z`` and scaled dual ``u``.
+
+    ``upper`` and ``lower`` bound the Z-step's soft threshold: ``lam / rho``
+    and its negative off the diagonal, 0 on it.
 
     Returns the final ``z`` and ``u`` in new arrays and modifies neither
     argument; the driver, :func:`graphical_lasso`, does every check
@@ -212,7 +154,6 @@ def _admm(
     ``z`` and ``u`` stay exactly symmetric if they start so. Then
     ``v = relax * theta + (1 - relax) * z + u`` is summed in that order.
     """
-    upper, lower = _clip_bounds(cov.shape[0], lam / rho)
     z, u, v = z.copy(), u.copy(), np.empty_like(z)
     for _ in range(steps):
         np.subtract(z, u, out=v)
@@ -336,12 +277,14 @@ def graphical_lasso(
             cov, z, lam, tol, bus_order, iterations=0, newton_steps=0, residual=residual, rho=None
         )
     rho = _RHO_SCALE * float((max(eigs[0], 0.0) + lam) * (eigs[-1] + lam))
+    upper = (1.0 - np.eye(p)) * (lam / rho)
+    lower = -upper
     iterations = newton_steps = 0
     residual = np.inf
     previous, failed = None, set()
     while iterations < max_iter:
         chunk = min(_CHECK_EVERY, max_iter - iterations)
-        z, u = _admm(cov, lam, rho, z, u, chunk)
+        z, u = _admm(cov, rho, upper, lower, z, u, chunk)
         iterations += chunk
         if chunk < _CHECK_EVERY:
             break  # the tail of the budget runs unchecked

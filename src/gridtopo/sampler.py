@@ -7,143 +7,82 @@ stacked voltages (v, theta) by solving the composite Laplacian system,
 optionally followed by additive Gaussian measurement noise.
 
 Matrix rules: every symmetric matrix the package accepts passes
-:func:`_symmetric` (square, non-empty, finite, each entry within
-``rel * max(1, max|m|)`` of its transposed entry; an exactly symmetric
-matrix is copied as it is and any other becomes the new array
-``m/2 + m.T/2``), and every matrix it inverts goes through
-:func:`_spd_inverse` and so through one conditioning rule,
-:func:`_require_conditioned` (all eigenvalues positive, the largest at
-most ``COND_LIMIT`` = 1e12 times the smallest), or raises
-:class:`NumericalError` (cli exit 3). The glasso iterates are the only
-other inversions.
+:func:`_symmetric`. Every matrix it inverts, apart from the glasso
+iterates, goes through :func:`_spd_inverse` and so through the one
+conditioning rule, :func:`_require_conditioned` (``COND_LIMIT`` = 1e12),
+or raises :class:`NumericalError` (cli exit 3).
 
-Conditioning certificate: when the caller passes no eigenvalues,
-:func:`_spd_inverse` factors ``a = L L^T`` by Cholesky and, if the factor
-exists, inverts through it (:func:`_cholesky_inverse`): X = L^-1 is built
-one block row of ``_INVERSE_BLOCK`` rows at a time, and the inverse is
-X^T X, which numpy runs as one ``syrk``, so it is exactly symmetric. The
-rule then passes without ``eigvalsh`` when the Frobenius product
-``||a|| ||inv||`` is at most ``COND_LIMIT`` / 10, and that inverse is
-returned. The decision is the rule's, by the standard error bounds
+Conditioning certificate: :func:`_spd_inverse` factors ``a = L L^T`` and,
+if the factor exists, inverts through it (:func:`_cholesky_inverse`); the
+inverse X^T X, X = L^-1, is exactly symmetric. The rule then passes
+without ``eigvalsh`` when the Frobenius product ``||a|| ||inv||`` is at
+most ``COND_LIMIT`` / 10. The argument is the standard error bounds
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10 and
-14). A Cholesky factor that completes in floating point is the exact
-factor of a nearby matrix, so no eigenvalue of ``a`` lies below about
--n^2 eps ||a||. The Frobenius product bounds the condition number from
-above and has no sign cancellation, and the inverse of a matrix that
-close to singular has a norm of order 1/(n eps ||a||) or more, far
-beyond the bound. So a certified ``a`` has all eigenvalues positive and
-a condition number of at most about 1e11. There ``eigvalsh`` (absolute
-error about n eps ||a||) is accurate enough that the eigenvalue rule
-passes too, with a tenfold margin. Every other matrix is decided by
-``eigvalsh`` and, if it passes, inverted by ``np.linalg.inv`` (LU),
-symmetrized: a failed factor, a product above the bound or NaN, and
-every call that passes the eigenvalues it has (the noise covariance of
-the deviation bound). A norm out of floating range reads inf or NaN and
-never certifies. So the matrices that raise, and their messages, are the
-eigenvalue rule's; a property test checks that over random matrices
-with condition numbers 1 to 1e17, some indefinite, at scales 1e-8 to
-1e8.
+14): a factor that completes in floating point is the exact factor of a
+nearby matrix, so no eigenvalue of ``a`` lies below about -n^2 eps ||a||;
+the product bounds the condition number from above; and a matrix that
+close to singular has an inverse of norm 1/(n eps ||a||) or more, far
+beyond the bound. So a certified ``a`` has positive eigenvalues and a
+condition number of at most about 1e11, where ``eigvalsh`` would pass it
+too with a tenfold margin. Every other matrix (no factor, a product above
+the bound, inf or NaN) is decided by ``eigvalsh`` and, if it passes,
+inverted by ``np.linalg.inv``, symmetrized. So the matrices that raise,
+and their messages, are exactly the eigenvalue rule's. The Cholesky
+inverse is backward stable, as LU is, and differs from the symmetrized LU
+inverse at rounding level: by at most kappa(a) eps max|inv|.
 
-The Cholesky inverse is backward stable for a positive definite matrix,
-as LU is, and differs from the symmetrized LU inverse at rounding level:
-by at most kappa(a) eps max|inv|, with kappa(a) the condition number.
-Over 180 draws of 56-bus covariances (n = 300 to 100000, with and
-without noise) the largest difference was 0.08 kappa eps max|inv|, and
-5e-12 of max|J| for a 100000-sample draw with kappa 6e5. It reaches the
-direct estimate (sweeps, detect, ``gridtopo estimate``), the noisy
-analytic concentration, and the injection covariance of line-correlated
-injections, so draws with ``epsilon`` > 0 move too (at most 1e-14 of
-max|x| on the 56-bus grid at epsilon 0.01 and 0.1). Sweep error ratios
-and statuses, detect verdicts and every draw without ``epsilon`` keep
-their bits. At p = 110 on one BLAS thread (two runs on a shared 2-vCPU
-VM) the Cholesky factor took 0.06 to 0.09 ms, the blocked L^-1 0.13 to
-0.14 ms and X^T X 0.04 to 0.06 ms, against 0.38 to 0.61 ms for
-``np.linalg.inv`` and 0.42 to 0.53 ms for ``eigvalsh``. Blocks of 20 to
-32 rows were about equally fast there; 8 or 64 rows were slower, and one
-``np.linalg.inv`` of the whole factor took 0.47 to 0.63 ms.
+Seed-to-sample map: the stream of a seed is defined in blocks of
+``_BLOCK`` rows of standard normals, block b drawn by a Philox generator
+keyed by ``SeedSequence((seed, b))``. A block's rows z map to voltages
+as z @ T.T with the transfer matrix T = H^-1 L (H the composite
+Laplacian, L the lower Cholesky factor of the injection covariance), and
+noise rows as z @ F.T with the spectral factor F of the noise
+covariance, so positive-semidefinite noise is accepted. Any row range
+gives the same values bit for bit however the work is partitioned: each
+block is mapped in aligned ``_CHUNK``-row chunks, always as a full-chunk
+product, since BLAS maps a few rows with other kernels and so other last
+bits, and each output row depends only on its own input row. The map is
+byte-stable at a fixed BLAS thread count only: ``np.linalg.solve(H, L)``
+gives other last bits at one OpenBLAS thread than at two. It is the one
+sampler call whose bits follow the thread count, since T feeds every
+draw, :func:`analytic_voltage_covariance` and so the relative noise
+levels, and nothing else solves or inverts H.
 
-Reproducibility contract: the random stream for a seed is defined in
-fixed blocks of ``_BLOCK`` rows of standard normals, each produced by a
-Philox generator keyed by (seed, block index). A block's rows z map to
-voltages as z @ T.T with the transfer matrix T = H^-1 L, where H is the
-composite Laplacian and L the lower-triangular Cholesky factor of the
-injection covariance; noise rows map as z @ F.T with the spectral
-(eigen) factor F of the noise covariance, so that positive-semidefinite
-noise covariances are accepted. Any row range yields the same values bit
-for bit regardless of how the work is partitioned. The distribution does
-not depend on the factorization; the seed-to-sample map does, and this
-is the documented one. It differs at rounding level (at most 3e-14
-relative) from the earlier map, which multiplied by L and then solved H
-for every row.
-
-Chunking: each block is mapped in aligned ``_CHUNK``-row chunks, always
-as a full-chunk product. BLAS maps a few rows (8 at 110 columns) with
-other kernels and so with other last bits, but a product of
-``_CHUNK`` rows gives every row the bits it has inside the whole-block
-product, and each output row depends only on its own input row. So a
-window that covers part of a chunk maps the whole chunk, with the rows
-outside the window left as earlier draws or zeros (always finite), and
-keeps its own rows.
-
-Cursor: a standard normal uses a varying number of Philox outputs, so a
-window starting inside a block must first draw the block's earlier rows.
-To spare consecutive windows that work, ``_mapped_rows`` keeps a
-process-local cursor of at most ``_CURSOR_SIZE`` entries, keyed by the
-seed and the width (the factor's column count, the normals per row). An
-entry holds the block and row at which the last call on that key stopped
-and the live Philox generator there. A generator keeps its state in a
-few hundred bytes and no array, so the cursor holds no arrays across
-calls (arrays kept across calls stopped the heap from shrinking): the
-``monitor_stream_56`` benchmark on a 2-vCPU VM read a median peak RSS of
-96.5 MB, as against 96.3 MB when entries held the state as Python ints.
-A call takes its key's entry out under a lock and, when it starts in
-that block at or after that row, resumes from that generator instead of
-redrawing from the block's first row; it puts an entry back when it is
-done. So no two calls share a generator, and a call that finds no entry,
-because another thread holds it, redraws from the block start. The state
-after r rows of width w in block b is a function of (seed, b, r, w)
-alone, because a Philox stream position depends only on its key and
-counter; the factor only multiplies the normals afterwards and never
-enters the stream. So two factors of one width on one seed share an
-entry, and the cursor saves work and never changes a value. The least
-recently written entry is dropped first.
+Cursor: a window that starts inside a block must first draw the block's
+earlier rows. ``_mapped_rows`` keeps up to ``_CURSOR_SIZE`` live Philox
+generators, keyed by the seed and the row width, each where the last
+call on its key stopped, and resumes from one when a window starts at or
+after that row of that block. A call takes its entry out under a lock,
+so no two calls share a generator, and one that finds none redraws from
+the block start. A Philox position depends only on its key and counter,
+so the cursor saves work and never changes a value; it holds no arrays.
 
 Covariance draw: :func:`draw_covariance` returns the sample covariance S
 of n rows without drawing them. For centered Gaussian rows with
-covariance A A^T, (n - 1) S is Wishart W(A A^T, n - 1), and the
-Bartlett decomposition (Odell & Feiveson 1966) draws it as
-(A B)(A B)^T, where B is d x m lower trapezoidal with d the columns of
-A and m = min(d, n - 1): B_jj = sqrt(chi^2 with n - 1 - j degrees of
-freedom) for j = 0..m-1, drawn first, then B_ij standard normal for
-i > j, drawn in row-major order. When n - 1 < d this is the singular
-form, of rank n - 1, on the same branch. The factor A is the transfer
-matrix T, or [T, F] with the noise factor F when noise is set, both
-from the memo below, so the draw follows the law of
-``sample_covariance`` of ``sample_voltages`` plus ``add_noise`` rows but
-not their values. Its Philox generator is keyed by the
-:class:`numpy.random.SeedSequence` entropy (seed, 0, 0, 0, 0): a
-(seed, block) row key has fewer than five words, which SeedSequence pads
-with zeros to four, or has five or more and does not end in two zero
-words, so no row key yields this entropy. The draw costs O(p d m) and
-holds no n x p array.
+covariance A A^T, (n - 1) S is Wishart W(A A^T, n - 1), drawn by the
+Bartlett decomposition (Odell & Feiveson 1966) as (A B)(A B)^T: B is
+d x m lower trapezoidal, d the columns of A and m = min(d, n - 1), with
+B_jj = sqrt(chi^2 with n - 1 - j degrees of freedom) for j = 0..m-1,
+drawn first, then B_ij standard normal for i > j, in row-major order.
+n - 1 < d gives the singular form of rank n - 1. A is T, or [T, F] with
+noise, so S follows the law of ``sample_covariance`` of
+``sample_voltages`` plus ``add_noise`` rows, not their values. Its
+Philox generator is keyed by the :class:`numpy.random.SeedSequence`
+entropy (seed, 0, 0, 0, 0): a (seed, block) row key has fewer than five
+words, which SeedSequence pads with zeros to four, or has five or more
+and does not end in two zero words, so no row key yields this entropy.
 
-Transfer memo: the per-grid work of a draw is done once and kept on the
-frozen input it belongs to. :class:`~gridtopo.grid.LaplacianPair` keeps
-``abs_spectrum``, the ``|eigenvalues|`` of H that the conditioning rule
-and the noise bound read, and :class:`NoiseStatistics` keeps its
-spectral ``factor``, both as read-only cached properties.
-:func:`_checked_transfer` keeps the transfer matrix T on the Laplacians
-as ``_transfer_memo``, together with the :class:`InjectionStatistics`
-object it was made for; a later call with that same object reuses T,
-and a call with another object replaces it. All three values are
-read-only. Both inputs are frozen and write-protect their arrays, so a
-kept value is the one a fresh call would compute: the memo saves work
-and never changes a value. T is stored only after every check passes,
-so an ill-conditioned H raises on every call. Kept values live and die
-with their instance, so the module holds no arrays across calls apart
-from the read-only Bartlett index arrays of the last four draw shapes.
-:func:`analytic_voltage_covariance` reads T from the same memo, so H is
-solved in ``_checked_transfer`` alone.
+Transfer memo: the per-grid work of a draw is kept on the frozen input
+it belongs to. :class:`~gridtopo.grid.LaplacianPair` keeps
+``abs_spectrum`` and :class:`NoiseStatistics` its spectral ``factor``,
+as read-only cached properties; :func:`_checked_transfer` keeps T on the
+Laplacians for the :class:`InjectionStatistics` object it was made for,
+and replaces it for another. Inputs are frozen with read-only arrays, so
+a kept value is the one a fresh call would compute: the memo never
+changes a value. T is stored only after every check passes, so an
+ill-conditioned H raises on every call. The module itself keeps no
+arrays across calls apart from the read-only Bartlett index arrays of
+the last four draw shapes.
 """
 
 from __future__ import annotations
@@ -177,16 +116,16 @@ __all__ = [
 
 _BLOCK = 4096
 _CHUNK = 512
-# Rows per pass of ``estimator.sample_covariance`` over a bulk n x 2N
-# array: it holds one centered buffer of this many rows, never a
-# full-size temporary. The CSV writer has its own pass, ``_CSV_VALUES``.
+# Rows per pass of ``estimator.sample_covariance``, which holds one centered
+# buffer of this many rows and no full-size temporary (BENCH_15.json).
 _PASS_ROWS = 4096
-# Values per pass of :func:`_write_float_rows`: about 1 MB of Python floats
-# and row lists at any width.
+# Values per pass of :func:`_write_float_rows`, which bounds the CSV
+# working set at any width (BENCH_33.json).
 _CSV_VALUES = 2**15
 _CURSOR_SIZE = 8
 COND_LIMIT = 1e12
-# Rows per diagonal block of the Cholesky inverse (module docstring).
+# Rows per diagonal block of the Cholesky inverse; the block sizes tried are
+# in CHANGES.md ("Invert a certified covariance through the Cholesky factor").
 _INVERSE_BLOCK = 24
 
 
@@ -202,8 +141,9 @@ def _ranges(eigenvalues, bound: float):
 
 
 def _require_conditioned(eigenvalues, message: str, bound: float = np.nan) -> bool:
-    """Raise :class:`NumericalError` with ``message`` unless all eigenvalues
-    are positive and max <= ``COND_LIMIT`` * min; NaN fails too.
+    """Raise :class:`NumericalError` with ``message`` and the eigenvalue
+    range unless all eigenvalues are positive and max <= ``COND_LIMIT`` *
+    min; NaN fails too.
 
     ``bound``, a condition bound certified as in :func:`_spd_inverse`,
     passes the rule alone at most ``COND_LIMIT`` / 10; NaN never does.
@@ -233,27 +173,20 @@ def _cholesky_inverse(lower: np.ndarray) -> np.ndarray:
     return x.T @ x
 
 
-def _spd_inverse(a: np.ndarray, message: str, eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of ``a`` once it passes the conditioning rule.
-
-    Without ``eigenvalues``, the Cholesky factor of ``a`` gives the inverse
-    (:func:`_cholesky_inverse`), and that inverse with the Frobenius product
-    ||a|| ||inv|| certifies the rule for a well-conditioned ``a`` (module
-    docstring). Every other matrix, and every call that passes the
-    ``eigenvalues`` it has, is decided by the eigenvalues and inverted by
-    ``np.linalg.inv``, symmetrized."""
+def _spd_inverse(a: np.ndarray, message: str) -> np.ndarray:
+    """The inverse of ``a`` once it passes the conditioning rule, else
+    :class:`NumericalError` with ``message`` (module docstring,
+    Conditioning certificate)."""
     bound, inv = np.nan, None
-    if eigenvalues is None:
-        eigenvalues = partial(np.linalg.eigvalsh, a)
-        # an overflowing norm or inverse makes the product inf or NaN, which
-        # never certifies; the norm of ``a`` underflows only where that of
-        # the inverse overflows
-        with suppress(np.linalg.LinAlgError), np.errstate(
-            over="ignore", under="ignore", invalid="ignore"
-        ):
-            inv = _cholesky_inverse(np.linalg.cholesky(a))
-            bound = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
-    if _require_conditioned(eigenvalues, message, bound):
+    # an overflowing norm or inverse makes the product inf or NaN, which
+    # never certifies; the norm of ``a`` underflows only where that of the
+    # inverse overflows
+    with suppress(np.linalg.LinAlgError), np.errstate(
+        over="ignore", under="ignore", invalid="ignore"
+    ):
+        inv = _cholesky_inverse(np.linalg.cholesky(a))
+        bound = float(np.linalg.norm(a)) * float(np.linalg.norm(inv))
+    if _require_conditioned(partial(np.linalg.eigvalsh, a), message, bound):
         return inv
     inv = np.linalg.inv(a)
     return (inv + inv.T) / 2
@@ -622,11 +555,8 @@ def draw_covariance(
     noise: NoiseStatistics | None = None,
 ) -> np.ndarray:
     """Sample covariance of ``n`` rows drawn from its Wishart law, plus
-    noise when ``noise`` is set (module docstring, Covariance draw).
-
-    The draw matches ``sample_covariance`` of ``n`` rows in distribution,
-    not in value, and is a pure function of its arguments.
-    """
+    noise when ``noise`` is set; a pure function of its arguments (module
+    docstring, Covariance draw)."""
     if n < 2:
         raise ValidationError("a sample covariance needs n >= 2")
     if seed < 0:
@@ -658,9 +588,7 @@ def analytic_voltage_covariance(
     laplacians: LaplacianPair, stats: InjectionStatistics
 ) -> np.ndarray:
     """Exact covariance of (v, theta), H^-1 Sigma_(p,q) H^-1 = T T^T, with
-    the transfer matrix T the draws use. It differs at rounding level (at
-    most 5e-14 relative on a 56-bus grid) from the earlier
-    ``inv(H) @ Sigma @ inv(H)``."""
+    the transfer matrix T the draws use."""
     t = _checked_transfer(laplacians, stats)
     return t @ t.T
 
@@ -713,8 +641,7 @@ def _write_float_rows(fh, x: np.ndarray) -> None:
     The bytes are those of ``csv.writer`` on ``[repr(float(v)) for v in
     row]``: a float's ``repr`` never needs quoting. Rows are converted to
     Python floats about ``_CSV_VALUES`` values at a time (at least one
-    row), so a pass holds about 1 MB of Python objects at any width and
-    the writer never holds a list of the whole array."""
+    row), so the writer never holds a list of the whole array."""
     step = max(1, _CSV_VALUES // (x.shape[1] or 1))
     for start in range(0, len(x), step):
         rows = x[start : start + step]

@@ -6,48 +6,30 @@ samples, estimates the concentration matrix, runs the selected learning
 algorithms, and scores against the ground-truth grid. Failures are
 recorded per row in the ``status`` column instead of aborting the sweep.
 
-Covariance draw: a cell reads only the sample covariance of its n rows,
-so it draws that covariance from its Wishart law with
-:func:`gridtopo.sampler.draw_covariance` and never draws the rows: the
-Bartlett decomposition with the factor T, or [T, F] with the noise
-factor F, under a Philox key that no row key shares (see the sampler's
-module docstring). A row follows the law it had when rows were drawn,
-not their values. The draw is a pure function of the row's ``seed``
-column, so a row still replays from that column, and CSV bodies stay
-byte-identical across reruns at a fixed BLAS thread count. Both windows
-of a detect cell are drawn the same way. A draw costs O(p^3) at any n,
-where rows cost O(n p^2) time and n x p memory.
-
-Output CSV bodies are deterministic for a fixed configuration except for
-the ``runtime_ms`` column, which reports wall-clock of estimation plus
-learning for the row. Thresholds default to the half-gamma values from
-the analytic concentration matrix of the configured grid ("testing
-mode"), matching the practice of tuning thresholds once at large sample
-counts and then holding them fixed.
+A cell draws its covariance, never its rows, with
+:func:`gridtopo.sampler.draw_covariance`, whose law and Philox key the
+sampler states. The draw is a pure function of the row's ``seed``
+column, so a row replays from that column, and both windows of a detect
+cell are drawn the same way. Output CSV bodies are byte-identical across
+reruns of one configuration at a fixed BLAS thread count, except for
+the ``runtime_ms`` column, the wall-clock of estimation plus learning
+for the row. Thresholds default to the half-gamma values from the
+analytic concentration matrix of the configured grid ("testing mode"),
+matching the practice of tuning thresholds once at large sample counts
+and then holding them fixed.
 
 Model memo: ``_grid_model`` is the one builder of a grid file's model
-(``_GridModel``: the grid, its Laplacians, the injection and noise
-statistics, and on demand the analytic J under uncorrelated injections
-and its half-gamma thresholds). ``run_sweep``, ``threshold_sensitivity``,
+(``_GridModel``), read by ``run_sweep``, ``threshold_sensitivity``,
 ``replay_cell``, ``detect_sweep`` and the cli's ``sample`` and ``learn
---truth`` read it. ``_built_model``, a ``functools.lru_cache`` of one
-entry, keeps the last model built, keyed by the grid file's text and
-path and ``sigma``, ``sigma_pq``, ``epsilon`` and ``noise`` (by value
-and by repr); estimator options, thresholds, seeds and sample sizes stay
-per call. The file is read on every call, so an edited file misses; a
-failed build is not kept. A kept model is frozen with read-only arrays,
-computes J and the thresholds at most once, and is a pure function of
-its key, so the memo saves work and never changes a value; reusing the
-statistics object also lets the sampler's transfer memo hit. It pays
-only where one process calls again on the same file and settings: tests,
-a notebook, a benchmark that runs one cell per call, or ``sample`` then
-``learn --truth`` at their defaults, which share an entry. One
-``gridtopo`` command builds its model once either way, and a detect call
-builds two (before and after), so the entry never hits across detect
-calls. The kept model stays resident until another file or settings
-replace it, or ``_built_model.cache_clear()``: its arrays are O(N^2) for
-N non-reference buses, 0.23 MB at 56 buses and 12 MB at 400, and both
-are held while its replacement is built.
+--truth``. ``_built_model``, a ``functools.lru_cache`` of one entry,
+keeps the last model built, keyed by the grid file's text and path and
+``sigma``, ``sigma_pq``, ``epsilon`` and ``noise`` (by value and by
+repr). The file is read on every call, so an edited file misses; a
+failed build is not kept. A kept model is frozen with read-only arrays
+and a pure function of its key, so the memo never changes a value, and
+reusing its statistics object lets the sampler's transfer memo hit. The
+entry stays resident until another file or settings replace it, or
+``_built_model.cache_clear()``.
 """
 
 from __future__ import annotations
@@ -246,10 +228,8 @@ class SweepResult:
 
 
 def _environment() -> dict:
-    """Solver kernel, versions, BLAS library and BLAS thread settings.
-
-    CSV bodies are byte-stable only at a fixed BLAS thread count, so a
-    rerun needs the thread variables as well as the library."""
+    """Solver kernel, versions, BLAS library and BLAS thread settings: what
+    a byte-identical rerun needs (module docstring)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         library = {"name": blas.get("name"), "version": blas.get("version")}

@@ -17,7 +17,8 @@ witness pass and compares neighbor sets bus by bus for the leaf pass,
 where the learner reads one boolean mask with array products. The
 endpoint deltas of a line addition come from a closed form in the
 pre-event Laplacian diagonals instead of the difference of two
-concentration matrices.
+concentration matrices. ``random_connected_grid`` is not an oracle: it
+builds the girth-free random grids of the generic suites.
 """
 
 import itertools
@@ -25,7 +26,8 @@ import itertools
 import numpy as np
 
 from gridtopo.errors import ValidationError
-from gridtopo.grid import admittance, reduced_laplacians
+from gridtopo.generate import _bus_name, _check_range, _random_tree
+from gridtopo.grid import GridGraph, Line, _edge_key, admittance, reduced_laplacians
 
 
 def penalized_objective(cov, theta, lam):
@@ -281,3 +283,40 @@ def addition_endpoint_deltas(grid_before, stats, a, b, r, x):
         return float(own + weight[i_other] * g2b2)
 
     return delta(ia, ib), delta(ib, ia)
+
+
+def random_connected_grid(
+    buses: int,
+    *,
+    extra_edges: int = 0,
+    seed: int = 0,
+    r_range: tuple[float, float] = (0.01, 1.0),
+    x_range: tuple[float, float] = (0.01, 1.0),
+) -> GridGraph:
+    """Random connected grid without girth control, for generic suites.
+
+    Builds a random tree over all buses (reference attached like any
+    other bus) and closes ``extra_edges`` arbitrary non-parallel pairs.
+    """
+    if buses < 2:
+        raise ValidationError("need at least two buses")
+    _check_range("r_range", r_range)
+    _check_range("x_range", x_range)
+    rng = np.random.default_rng(seed)
+    width = max(2, len(str(buses - 1)))
+    names = [_bus_name(i, width) for i in range(buses)]
+    edges, _ = _random_tree(rng, names, chain_bias=0.4)
+    present = {_edge_key(*e) for e in edges}
+    tries = 0
+    while len(present) < len(edges) + extra_edges and tries < 50 * (extra_edges + 1):
+        tries += 1
+        u, w = rng.choice(len(names), size=2, replace=False)
+        key = _edge_key(names[u], names[w])
+        if key in present:
+            continue
+        present.add(key)
+    lines = tuple(
+        Line(a=a, b=b, r=float(rng.uniform(*r_range)), x=float(rng.uniform(*x_range)))
+        for a, b in sorted(present)
+    )
+    return GridGraph(buses=tuple(names), reference=names[0], lines=lines)

@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from _oracles import penalized_objective, proximal_gradient_glasso
+from _oracles import penalized_objective, proximal_gradient_glasso, random_connected_grid
 from conftest import random_stats
 from gridtopo.detect import detect_change, diagonal_deltas
 from gridtopo.estimator import (
@@ -25,7 +25,7 @@ from gridtopo.estimator import (
     noise_deviation_bound,
     noisy_concentration,
 )
-from gridtopo.generate import generate_grid, random_connected_grid
+from gridtopo.generate import generate_grid
 from gridtopo.glasso import glasso_objective, graphical_lasso
 from gridtopo.grid import apply_line_event, reduced_laplacians, save_grid
 from gridtopo.sampler import (

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from _oracles import woodbury_deviation
+from _oracles import random_connected_grid, woodbury_deviation
 from conftest import random_stats, traced_peak
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import (
@@ -22,7 +22,7 @@ from gridtopo.estimator import (
     noisy_concentration,
     sample_covariance,
 )
-from gridtopo.generate import generate_grid, random_connected_grid
+from gridtopo.generate import generate_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
     InjectionStatistics,

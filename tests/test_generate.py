@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import gridtopo
-
+from _oracles import random_connected_grid
 from gridtopo.errors import ValidationError
-from gridtopo.generate import generate_grid, random_connected_grid
+from gridtopo.generate import generate_grid
 from gridtopo.grid import structure_report
 
 

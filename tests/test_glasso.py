@@ -30,12 +30,19 @@ def random_spd(dim, seed, n_factor=8):
     return x.T @ x / (n_factor * dim)
 
 
+def admm(cov, lam, rho, z, u, steps):
+    """``_admm`` with the soft-threshold bounds that ``graphical_lasso``
+    builds once per fit."""
+    upper = (1.0 - np.eye(len(cov))) * (lam / rho)
+    return _admm(cov, rho, upper, -upper, z, u, steps)
+
+
 def admm_until(cov, lam, rho, z, u, tol, residual):
-    """``_admm`` in chunks of ``_CHECK_EVERY`` until ``residual(z)`` is at
+    """``admm`` in chunks of ``_CHECK_EVERY`` until ``residual(z)`` is at
     most ``tol``: the solver's stop rule without the Newton finish.
     Returns ``z``, ``u``, the iterations run and the last residual."""
     for iterations in range(glasso._CHECK_EVERY, 10_000, glasso._CHECK_EVERY):
-        z, u = _admm(cov, lam, rho, z, u, glasso._CHECK_EVERY)
+        z, u = admm(cov, lam, rho, z, u, glasso._CHECK_EVERY)
         checked = residual(z)
         if checked <= tol:
             return z, u, iterations, checked
@@ -192,8 +199,8 @@ class TestValidationAndErrors(InputLeg):
         with pytest.raises(ConvergenceError) as excinfo:
             self.fit(cov, lam, tol=1e-14, max_iter=7)
         start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
-        checked, _ = _admm(cov, lam, rho, *start, 5)
-        z, _ = _admm(cov, lam, rho, *start, 7)
+        checked, _ = admm(cov, lam, rho, *start, 5)
+        z, _ = admm(cov, lam, rho, *start, 7)
         assert excinfo.value.iterations == 7
         assert excinfo.value.gap == glasso._dual_gap(cov, z, lam)
         assert f"KKT residual {glasso._kkt_residual(cov, checked, lam)[0]:.3e}," in str(excinfo.value)
@@ -292,7 +299,7 @@ class TestNewtonFinish:
         cov, lam = self.problem(c)
         rho = graphical_lasso(cov, lam).meta["rho"]
         start = np.diag(1.0 / np.diag(cov)), np.zeros_like(cov)
-        z, _ = _admm(cov, lam, rho, *start, iterations)
+        z, _ = admm(cov, lam, rho, *start, iterations)
         return cov, lam, z
 
     def test_hessian_matches_entrywise_oracle(self, monkeypatch):
@@ -437,7 +444,7 @@ class TestPythonKernel:
         cov, z0, u0 = admm_problem(21, warm=True)
         before = z0.copy(), u0.copy()
         rho = admm_rho(cov, 1e-3)
-        z, u = _admm(cov, 1e-3, rho, z0, u0, steps)
+        z, u = admm(cov, 1e-3, rho, z0, u0, steps)
         z_ref, u_ref = reference_admm_glasso(cov, 1e-3, rho, z0, u0, steps, relax=glasso._RELAX)
         assert_close(z, z_ref)
         assert_close(u, u_ref)
@@ -449,7 +456,7 @@ class TestPythonKernel:
         # The iteration runs in place; the chunked driver relies on the
         # buffers staying inside one call.
         cov, z0, u0 = admm_problem(21, warm=True)
-        z, u = _admm(cov, 1e-3, admm_rho(cov, 1e-3), z0, u0, steps)
+        z, u = admm(cov, 1e-3, admm_rho(cov, 1e-3), z0, u0, steps)
         for a, b in [(z, z0), (z, u0), (z, cov), (u, z0), (u, u0), (u, cov), (z, u)]:
             assert not np.shares_memory(a, b)
 
@@ -458,8 +465,8 @@ class TestPythonKernel:
         # The solver's chunked driver relies on this, bit for bit.
         cov, z0, u0 = admm_problem(5, warm=True)
         rho = admm_rho(cov, 1e-3)
-        z, u = _admm(cov, 1e-3, rho, *_admm(cov, 1e-3, rho, z0, u0, first), second)
-        z_once, u_once = _admm(cov, 1e-3, rho, z0, u0, first + second)
+        z, u = admm(cov, 1e-3, rho, *admm(cov, 1e-3, rho, z0, u0, first), second)
+        z_once, u_once = admm(cov, 1e-3, rho, z0, u0, first + second)
         assert np.array_equal(z, z_once) and np.array_equal(u, u_once)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import random_connected_grid
 from gridtopo.errors import ValidationError
-from gridtopo.generate import generate_grid, random_connected_grid
+from gridtopo.generate import generate_grid
 from gridtopo.grid import (
     GridGraph,
     Line,

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import random_connected_grid
 from conftest import random_stats, traced_peak
 from gridtopo import sampler
 from gridtopo.errors import NumericalError, ValidationError
 from gridtopo.estimator import direct_concentration, noise_deviation_bound
-from gridtopo.generate import generate_grid, random_connected_grid
+from gridtopo.generate import generate_grid
 from gridtopo.grid import reduced_laplacians
 from gridtopo.sampler import (
     InjectionStatistics,
@@ -840,12 +841,6 @@ class TestConditioningCertificate:
         eig = count_calls(monkeypatch, "eigvalsh")
         assert sampler._spd_inverse(cov, "m").tobytes() == symmetrized_inv(cov).tobytes()
         assert len(eig) == 1
-
-    def test_caller_eigenvalues_skip_the_certificate(self, monkeypatch):
-        cov = rotated([1.0, 2.0, 3.0], seed=5)
-        chol = count_calls(monkeypatch, "cholesky")
-        sampler._spd_inverse(cov, "m", np.linalg.eigvalsh(cov))
-        assert chol == []
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scales_fall_back_to_the_rule(self, monkeypatch, scale):
